@@ -1,5 +1,5 @@
 """Monte Carlo toolkit for supercritical branching Markov processes with
-absorption: an exact event-driven population engine, spine-based moment
+absorption: an exact array-native population engine, spine-based moment
 oracles, Malthusian-martingale statistics, quasi-stationary distribution
 fits, and extinction fixed-point diagnostics."""
 
@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .branching import BranchingLaw, binary_law
 from .eigen import EigenData, martingale_weight
 from .engine import (
-    Particle,
     PopulationSnapshot,
     SimulationConfig,
     run_replica,
@@ -66,7 +65,6 @@ __all__ = [
     "KilledOU",
     "MartingaleCurve",
     "MotionModel",
-    "Particle",
     "PhiResult",
     "PopulationSnapshot",
     "Predicate",

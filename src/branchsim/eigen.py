@@ -35,7 +35,7 @@ class EigenData:
         return self.motion._h(state)
 
     def h_many(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized h over an array of real states; NaN marks absorption."""
+        """h over a sequence of live states, as a float array."""
         return self.motion._h_many(states)
 
     def nu_mass(self, test_set) -> float:

@@ -1,10 +1,17 @@
-"""Event-driven simulation of the branching dynamics.
+"""Array-native simulation of the branching dynamics.
 
-Each particle carries an independent Exp(r) branching clock; a global
-priority queue orders the clocks and states advance lazily — a particle's
-position is updated only at its own branch time and at snapshot times, which
-is exact by the Markov property. At a branch event the parent dies and is
-replaced in place by m i.i.d. offspring.
+Each particle carries an independent Exp(r) branching clock. Replicas are
+simulated a block at a time (``parallel.REPLICA_BLOCK`` of them share one
+random stream) on a frontier of arrays ``(replica, state, t_last,
+t_branch)``, with states in the motion's float64 encoding (NaN marks
+absorption). A particle's state is updated only at its own branch time and at
+snapshot times, which is exact by the Markov property, and particles are
+independent, so each sweep moves every particle whose clock rings by the next
+snapshot time s in one ``step_many`` call over ``t_branch - t_last``. At a
+branch event the parent dies and is replaced in place by m i.i.d. offspring:
+offspring counts are drawn in one ``sample_offspring_many`` call and the
+children laid out with ``np.repeat``. At s the whole frontier is moved to s
+and the live states are split by replica.
 
 Lineages absorbed by the motion are dropped immediately: all descendants of
 an absorbed particle are absorbed and contribute nothing to the live
@@ -14,8 +21,7 @@ counted.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +32,6 @@ from .parallel import map_replicas, replica_rng
 from .states import is_absorbed
 
 DEFAULT_POPULATION_CAP = 10**6
-
-
-@dataclass
-class Particle:
-    id: int
-    parent_id: int | None
-    birth_time: float
-    state: object
-    next_branch_time: float
-    last_update: float = field(default=0.0)
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,6 @@ class SimulationConfig:
     snapshot_times: tuple
     population_cap: int = DEFAULT_POPULATION_CAP
     seed: int = 0
-    replica_index: int = 0
 
     def __post_init__(self):
         problems = []
@@ -79,6 +74,84 @@ class SimulationConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
+def _check_start(motion: MotionModel, x0) -> None:
+    if is_absorbed(x0):
+        raise ConfigurationError("x0 must be non-absorbed")
+    motion.validate_state(x0)
+
+
+def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int, rng) -> list:
+    """Snapshots of n independent replicas started at x0, all drawing from rng.
+
+    A replica whose live population exceeds the cap at the end of a sweep is
+    frozen: it stops advancing, and the snapshots at or after that time report
+    its population as of the freeze, flagged truncated.
+    """
+    scale = 1.0 / law.rate_r
+    rep = np.arange(n)
+    x = np.full(n, motion.encode(x0))
+    t_last = np.zeros(n)
+    t_branch = rng.exponential(scale, n)
+    absorbed = np.zeros(n, dtype=np.int64)
+    dead = np.zeros(n, dtype=np.int64)
+    frozen = {}  # replica -> (live states, absorbed count, dead count) at the freeze
+    out = [[] for _ in range(n)]
+
+    for s in cfg.snapshot_times:
+        while True:
+            due = t_branch <= s
+            if not due.any():
+                break
+            idx = np.flatnonzero(due)
+            keep = np.flatnonzero(~due)
+            y = motion.step_many(x[idx], t_branch[idx] - t_last[idx], rng)
+            gone = np.isnan(y)
+            absorbed += np.bincount(rep[idx[gone]], minlength=n)
+            idx, y = idx[~gone], y[~gone]
+            m = law.sample_offspring_many(idx.size, rng)
+            dead += np.bincount(rep[idx[m == 0]], minlength=n)
+            born = np.repeat(t_branch[idx], m)
+            rep = np.concatenate((rep[keep], np.repeat(rep[idx], m)))
+            x = np.concatenate((x[keep], np.repeat(y, m)))
+            t_last = np.concatenate((t_last[keep], born))
+            t_branch = np.concatenate((t_branch[keep], born + rng.exponential(scale, born.size)))
+            over = np.flatnonzero(np.bincount(rep, minlength=n) > cfg.population_cap)
+            if over.size:
+                for r in over.tolist():
+                    states = tuple(motion.decode(x[rep == r]))
+                    frozen[r] = (states, int(absorbed[r]), int(dead[r]))
+                moving = ~np.isin(rep, over)
+                rep, x = rep[moving], x[moving]
+                t_last, t_branch = t_last[moving], t_branch[moving]
+
+        x = motion.step_many(x, s - t_last, rng)
+        gone = np.isnan(x)
+        absorbed += np.bincount(rep[gone], minlength=n)
+        order = np.flatnonzero(~gone)
+        order = order[np.argsort(rep[order], kind="stable")]
+        rep, x, t_branch = rep[order], x[order], t_branch[order]
+        t_last = np.full(rep.size, s)
+        states = motion.decode(x)
+        ends = np.cumsum(np.bincount(rep, minlength=n)).tolist()
+        for r, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+            if r in frozen:
+                live, n_absorbed, n_dead = frozen[r]
+                truncated = True
+            else:
+                live, n_absorbed, n_dead = tuple(states[lo:hi]), int(absorbed[r]), int(dead[r])
+                truncated = False
+            out[r].append(
+                PopulationSnapshot(
+                    time=s,
+                    live_states=live,
+                    absorbed_count=n_absorbed,
+                    dead_count=n_dead,
+                    truncated=truncated,
+                )
+            )
+    return out
+
+
 def run_replica(
     motion: MotionModel,
     law: BranchingLaw,
@@ -88,97 +161,32 @@ def run_replica(
 ) -> list:
     """Simulate one replica; snapshots at exactly cfg.snapshot_times.
 
-    If the live population would exceed the cap the replica stops advancing
-    and all snapshots at or after the stop time are flagged truncated.
+    Without rng the replica draws from stream 0 of cfg.seed, the stream of
+    the first replica block. If the live population exceeds the cap the
+    replica stops advancing and all snapshots at or after the stop time are
+    flagged truncated.
     """
-    if is_absorbed(x0):
-        raise ConfigurationError("x0 must be non-absorbed")
-    motion.validate_state(x0)
+    _check_start(motion, x0)
     if rng is None:
-        rng = replica_rng(cfg.seed, cfg.replica_index)
-
-    r = law.rate_r
-    particles: dict[int, Particle] = {}
-    events: list = []  # (branch_time, id) min-heap
-    next_id = 1
-
-    root = Particle(0, None, 0.0, x0, rng.exponential(1.0 / r), 0.0)
-    particles[0] = root
-    heapq.heappush(events, (root.next_branch_time, 0))
-
-    absorbed_count = 0
-    dead_count = 0
-    truncated = False
-    snapshots = []
-
-    for s in cfg.snapshot_times:
-        while not truncated and events and events[0][0] <= s:
-            tb, pid = heapq.heappop(events)
-            p = particles.pop(pid, None)
-            if p is None:
-                continue
-            state = p.state
-            if tb > p.last_update:
-                state = motion.step(state, tb - p.last_update, rng)
-            if is_absorbed(state):
-                absorbed_count += 1
-                continue
-            m = law.sample_offspring(rng)
-            if m == 0:
-                dead_count += 1
-                continue
-            for _ in range(m):
-                child = Particle(next_id, pid, tb, state, tb + rng.exponential(1.0 / r), tb)
-                particles[next_id] = child
-                heapq.heappush(events, (child.next_branch_time, next_id))
-                next_id += 1
-            if len(particles) > cfg.population_cap:
-                truncated = True
-
-        if truncated:
-            # report the frozen population without further advancement
-            live = tuple(particles[pid].state for pid in sorted(particles))
-        else:
-            live = []
-            for pid in sorted(particles):  # fixed order: deterministic RNG usage
-                p = particles[pid]
-                if s > p.last_update:
-                    p.state = motion.step(p.state, s - p.last_update, rng)
-                    p.last_update = s
-                if is_absorbed(p.state):
-                    absorbed_count += 1
-                    del particles[pid]
-                else:
-                    live.append(p.state)
-            live = tuple(live)
-        snapshots.append(
-            PopulationSnapshot(
-                time=s,
-                live_states=live,
-                absorbed_count=absorbed_count,
-                dead_count=dead_count,
-                truncated=truncated,
-            )
-        )
-    return snapshots
+        rng = replica_rng(cfg.seed, 0)
+    return _simulate_block(motion, law, x0, cfg, 1, rng)[0]
 
 
 @dataclass(frozen=True)
-class _ReplicaTask:
+class _BlockTask:
     motion: MotionModel
     law: BranchingLaw
     x0: object
     cfg: SimulationConfig
 
-    def __call__(self, replica_index, rng):
-        cfg = replace(self.cfg, replica_index=replica_index)
-        return run_replica(self.motion, self.law, self.x0, cfg, rng)
+    def __call__(self, n, rng):
+        return _simulate_block(self.motion, self.law, self.x0, self.cfg, n, rng)
 
 
 def run_replicas(motion, law, x0, cfg: SimulationConfig, n_replicas: int, threads: int = 1):
     """n independent replicas, in replica-index order regardless of threads."""
-    task = _ReplicaTask(motion, law, x0, cfg)
-    return map_replicas(task, n_replicas, cfg.seed, threads)
+    _check_start(motion, x0)
+    return map_replicas(_BlockTask(motion, law, x0, cfg), n_replicas, cfg.seed, threads)
 
 
 def survival_indicator(snapshots) -> list:

@@ -1,13 +1,20 @@
 """The six concrete Markov motions and their eigendata.
 
-Every motion exposes an exact-in-distribution ``step`` sampler (no Euler
-discretization):
+Every motion exposes one exact-in-distribution sampler, ``step_many``, that
+moves an array of encoded states over an array (or scalar) of durations, with
+no Euler discretization. States are encoded as float64 values with NaN for
+absorption; ``encode`` and ``decode`` convert to and from the public state
+types, and the scalar ``step`` is a one-element call of ``step_many``.
 
-* ``ErgodicCTMC``      -- finite irreducible chain, Gillespie jumps.
+* ``ErgodicCTMC``      -- finite irreducible chain, uniformization: a
+                          Poisson(q dt) number of jumps of I + Q/q.
 * ``GaltonWatson``     -- subcritical continuous-time GW chain, jump rates
-                          q(x, x+y) = x * rho(y), absorbed at 0.
+                          q(x, x+y) = x * rho(y), absorbed at 0; masked
+                          vector Gillespie.
 * ``ContactProcessModT`` -- subcritical contact process on Z^d modulo
-                          translations, absorbed at the empty set.
+                          translations, absorbed at the empty set; canonical
+                          configurations are interned to integer ids with
+                          memoized event tables.
 * ``KilledOU``         -- recurrent OU with drift -lam, killed at 0; sampled
                           through the Brownian time change tau(t) =
                           (e^{2 lam t} - 1) / (2 lam) plus the Brownian-bridge
@@ -51,11 +58,30 @@ class MotionModel:
             raise ConfigurationError("cannot step an absorbed state")
         if not dt > 0:
             raise ConfigurationError(f"dt must be > 0, got {dt}")
-        return self._step(x, dt, rng)
+        return self.decode(self.step_many(np.array([self.encode(x)]), dt, rng))[0]
 
     def step_many(self, xs, dt, rng):
-        """Vectorized step for real-valued motions; NaN encodes absorption."""
+        """Encoded states after independent moves of duration dt (scalar or an
+        array shaped like xs); NaN in and out marks absorption."""
         raise NotImplementedError
+
+    def encode(self, x) -> float:
+        """Float64 code of a non-absorbed public state."""
+        return float(x)
+
+    def decode(self, values) -> list:
+        """Public states of encoded values; NaN decodes to ABSORBED."""
+        values = np.asarray(values, dtype=float)
+        alive = ~np.isnan(values)
+        if alive.all():
+            return self._decode_live(values)
+        out = [ABSORBED] * len(values)
+        for i, state in zip(np.flatnonzero(alive), self._decode_live(values[alive])):
+            out[i] = state
+        return out
+
+    def _decode_live(self, values):
+        return values.tolist()
 
     def transition_density(self, x, y, t):
         """Sub-probability transition density, or None when unavailable."""
@@ -85,7 +111,7 @@ class MotionModel:
         return 1.0
 
     def _h_many(self, states):
-        raise NotImplementedError
+        return np.fromiter((self._h(s) for s in states), dtype=float, count=len(states))
 
     def _m2_martingale(self, x0, t):
         raise ConfigurationError(f"{type(self).__name__}: E[M_t^2] is not available")
@@ -119,6 +145,11 @@ class ErgodicCTMC(MotionModel):
         if problems:
             raise ConfigurationError(*problems)
         object.__setattr__(self, "Q", Q)
+        rate = float(np.max(-np.diag(Q))) or 1.0  # any q > 0 serves when Q = 0
+        jump_cdf = np.cumsum(np.eye(Q.shape[0]) + Q / rate, axis=1)
+        jump_cdf[:, -1] = 1.0
+        object.__setattr__(self, "_rate", rate)
+        object.__setattr__(self, "_jump_cdf", jump_cdf)
 
     @staticmethod
     def _is_irreducible(off):
@@ -158,19 +189,25 @@ class ErgodicCTMC(MotionModel):
         if not (isinstance(x, (int, np.integer)) and 0 <= x < self.n_states):
             raise ConfigurationError(f"state must be an int in [0, {self.n_states}), got {x!r}")
 
-    def _step(self, x, dt, rng):
-        i = int(x)
-        t = 0.0
-        while True:
-            rate = -self.Q[i, i]
-            if rate <= 0:
-                return i
-            t += rng.exponential(1.0 / rate)
-            if t > dt:
-                return i
-            probs = np.maximum(self.Q[i], 0.0)
-            cum = np.cumsum(probs / rate)
-            i = int(np.searchsorted(cum, rng.random(), side="right"))
+    def step_many(self, xs, dt, rng):
+        # uniformization (Jensen 1953): with q = max_i -Q_ii, the chain is the
+        # jump chain I + Q/q run at the jump times of a rate-q Poisson process
+        xs = np.asarray(xs, dtype=float)
+        dt = np.broadcast_to(np.asarray(dt, dtype=float), xs.shape)
+        alive = ~np.isnan(xs)
+        state = np.where(alive, xs, 0.0).astype(np.intp)
+        jumps = np.zeros(xs.shape, dtype=np.int64)
+        jumps[alive] = rng.poisson(self._rate * dt[alive])
+        active = np.flatnonzero(jumps)
+        while active.size:
+            u = rng.random(active.size)
+            state[active] = (u[:, None] >= self._jump_cdf[state[active]]).sum(axis=1)
+            jumps[active] -= 1
+            active = active[jumps[active] > 0]
+        return np.where(alive, state, np.nan)
+
+    def _decode_live(self, values):
+        return values.astype(np.int64).tolist()
 
     def _transition_density(self, x, y, t):
         from scipy.linalg import expm
@@ -183,6 +220,9 @@ class ErgodicCTMC(MotionModel):
 
     def _h(self, state):
         return 1.0
+
+    def _h_many(self, states):
+        return np.ones(len(states))
 
     def _nu_mass(self, test_set):
         pi = self.stationary_distribution()
@@ -237,6 +277,10 @@ class GaltonWatson(MotionModel):
         if problems:
             raise ConfigurationError(*problems)
         object.__setattr__(self, "rho", rho)
+        cdf = np.cumsum([p for _, p in rho])
+        cdf[-1] = 1.0
+        object.__setattr__(self, "_increments", np.array([y for y, _ in rho], dtype=np.int64))
+        object.__setattr__(self, "_increment_cdf", cdf)
 
     @property
     def lam(self):
@@ -250,19 +294,25 @@ class GaltonWatson(MotionModel):
         if not (isinstance(x, (int, np.integer)) and x >= 1):
             raise ConfigurationError(f"state must be an int >= 1, got {x!r}")
 
-    def _step(self, x, dt, rng):
-        n = int(x)
-        ys = np.array([y for y, _ in self.rho])
-        cum = np.cumsum([p for _, p in self.rho])
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / n)  # total jump rate is n * sum(rho) = n
-            if t > dt:
-                return n
-            y = int(ys[np.searchsorted(cum, rng.random(), side="right")])
-            n += y
-            if n == 0:
-                return ABSORBED
+    def step_many(self, xs, dt, rng):
+        # masked vector Gillespie: the total jump rate from n is n * sum(rho) = n
+        xs = np.asarray(xs, dtype=float)
+        dt = np.broadcast_to(np.asarray(dt, dtype=float), xs.shape)
+        alive = ~np.isnan(xs)
+        n = np.where(alive, xs, 0.0).astype(np.int64)
+        t = np.zeros(xs.shape)
+        active = np.flatnonzero(alive)
+        while active.size:
+            t[active] += rng.exponential(1.0, active.size) / n[active]
+            active = active[t[active] <= dt[active]]
+            n[active] += self._increments[
+                np.searchsorted(self._increment_cdf, rng.random(active.size), side="right")
+            ]
+            active = active[n[active] > 0]
+        return np.where(n > 0, n, np.nan)
+
+    def _decode_live(self, values):
+        return values.astype(np.int64).tolist()
 
     def eigen_data(self):
         return EigenData(motion=self, lam=self.lam)
@@ -270,6 +320,9 @@ class GaltonWatson(MotionModel):
     def _h(self, state):
         # h(x) proportional to x, pinned by h(1) = 1
         return float(state)
+
+    def _h_many(self, states):
+        return np.nan_to_num(np.asarray(states, dtype=float), nan=0.0)
 
     def _m2_martingale(self, x0, t):
         # from the moment ODEs: E[M_t^2] = 1 + sigma_rho^2 (e^{lam t} - 1) / (lam x)
@@ -332,6 +385,11 @@ class ContactProcessModT(MotionModel):
             problems.append(f"infection rate must be > 0, got {self.gamma}")
         if problems:
             raise ConfigurationError(*problems)
+        # interned canonical configurations: id -> config, config -> id, and
+        # the memoized event table of each id (None until first needed)
+        object.__setattr__(self, "_configs", [])
+        object.__setattr__(self, "_ids", {})
+        object.__setattr__(self, "_events", [])
 
     def validate_state(self, x):
         if not (isinstance(x, frozenset) and x):
@@ -339,19 +397,49 @@ class ContactProcessModT(MotionModel):
         if canonicalize(x) != x:
             raise ConfigurationError("lattice configuration must be canonical")
 
-    def _step(self, x, dt, rng):
-        config = x
-        t = 0.0
-        while True:
-            events = contact_event_rates(config, self.gamma)
-            total = sum(r for _, r in events)
-            t += rng.exponential(1.0 / total)
-            if t > dt:
-                return config
-            cum = np.cumsum([r for _, r in events]) / total
-            config = events[int(np.searchsorted(cum, rng.random(), side="right"))][0]
-            if is_absorbed(config):
-                return ABSORBED
+    def encode(self, x) -> float:
+        i = self._ids.get(x)
+        if i is None:
+            i = len(self._configs)
+            self._ids[x] = i
+            self._configs.append(x)
+            self._events.append(None)
+        return float(i)
+
+    def _decode_live(self, values):
+        return [self._configs[i] for i in values.astype(np.int64).tolist()]
+
+    def _event_table(self, i):
+        """(target codes, cumulative probabilities, total rate) out of config id i."""
+        table = self._events[i]
+        if table is None:
+            events = contact_event_rates(self._configs[i], self.gamma)
+            targets = [math.nan if is_absorbed(c) else self.encode(c) for c, _ in events]
+            rates = np.array([r for _, r in events])
+            total = float(rates.sum())
+            cdf = np.cumsum(rates) / total
+            cdf[-1] = 1.0
+            table = (targets, cdf, total)
+            self._events[i] = table
+        return table
+
+    def step_many(self, xs, dt, rng):
+        # per-particle Gillespie over the memoized event tables
+        xs = np.asarray(xs, dtype=float)
+        dt = np.broadcast_to(np.asarray(dt, dtype=float), xs.shape)
+        out = xs.copy()
+        for k in np.flatnonzero(~np.isnan(xs)):
+            code, t, limit = xs[k], 0.0, dt[k]
+            while True:
+                targets, cdf, total = self._event_table(int(code))
+                t += rng.exponential(1.0 / total)
+                if t > limit:
+                    break
+                code = targets[int(np.searchsorted(cdf, rng.random(), side="right"))]
+                if math.isnan(code):
+                    break
+            out[k] = code
+        return out
 
     def eigen_data(self):
         return EigenData(motion=self, lam=self.lambda_estimate, surrogate=True)
@@ -387,13 +475,6 @@ class KilledOU(MotionModel):
     def validate_state(self, x):
         if not (isinstance(x, (int, float)) and x > 0):
             raise ConfigurationError(f"state must be a real > 0, got {x!r}")
-
-    def _step(self, x, dt, rng):
-        tau = self.tau(dt)
-        z = rng.normal(float(x), math.sqrt(tau))
-        if z <= 0.0 or rng.random() < math.exp(-2.0 * x * z / tau):
-            return ABSORBED
-        return math.exp(-self.lam * dt) * z
 
     def step_many(self, xs, dt, rng):
         xs = np.asarray(xs, dtype=float)
@@ -496,15 +577,11 @@ class TransientOU(MotionModel):
         var = self.sigma2 * math.expm1(2.0 * self.lam * t) / (2.0 * self.lam)
         return mean, var
 
-    def _step(self, x, dt, rng):
-        mean, var = self.moments(x, dt)
-        return rng.normal(mean, math.sqrt(var))
-
     def step_many(self, xs, dt, rng):
         xs = np.asarray(xs, dtype=float)
-        g = math.exp(self.lam * float(dt))
-        var = self.sigma2 * math.expm1(2.0 * self.lam * float(dt)) / (2.0 * self.lam)
-        return xs * g + rng.normal(0.0, 1.0, size=xs.shape) * math.sqrt(var)
+        dt = np.asarray(dt, dtype=float)
+        var = self.sigma2 * np.expm1(2.0 * self.lam * dt) / (2.0 * self.lam)
+        return xs * np.exp(self.lam * dt) + rng.normal(0.0, 1.0, size=xs.shape) * np.sqrt(var)
 
     def _transition_density(self, x, y, t):
         mean, var = self.moments(x, t)
@@ -519,9 +596,9 @@ class TransientOU(MotionModel):
 
     def tilted_step_many(self, xs, dt, rng):
         xs = np.asarray(xs, dtype=float)
-        g = math.exp(-self.lam * float(dt))
-        _, var = self.tilted_moments(1.0, float(dt))
-        return xs * g + rng.normal(0.0, 1.0, size=xs.shape) * math.sqrt(var)
+        dt = np.asarray(dt, dtype=float)
+        var = self.sigma2 * -np.expm1(-2.0 * self.lam * dt) / (2.0 * self.lam)
+        return xs * np.exp(-self.lam * dt) + rng.normal(0.0, 1.0, size=xs.shape) * np.sqrt(var)
 
     def tilted_density(self, x, y, t):
         mean, var = self.tilted_moments(x, t)
@@ -584,15 +661,9 @@ class KilledDriftBM(MotionModel):
         if not (isinstance(x, (int, float)) and x > 0):
             raise ConfigurationError(f"state must be a real > 0, got {x!r}")
 
-    def _step(self, x, dt, rng):
-        y = rng.normal(float(x) - self.c * dt, math.sqrt(dt))
+    def step_many(self, xs, dt, rng):
         # bridge law is drift-free, so the killing correction is the same
         # 1 - exp(-2 x y / t) as for standard BM
-        if y <= 0.0 or rng.random() < math.exp(-2.0 * x * y / dt):
-            return ABSORBED
-        return y
-
-    def step_many(self, xs, dt, rng):
         xs = np.asarray(xs, dtype=float)
         dt = np.asarray(dt, dtype=float)
         y = xs - self.c * dt + rng.normal(0.0, 1.0, size=xs.shape) * np.sqrt(dt)

@@ -1,9 +1,11 @@
 """Reproducible replica-parallel execution.
 
-Each replica i draws from its own generator seeded by
-SeedSequence(entropy=master_seed, spawn_key=(i,)), so the stream depends only
-on (master_seed, i). Results are assembled in replica-index order, making the
-output independent of the worker count and of scheduling.
+Replicas are simulated in fixed blocks of REPLICA_BLOCK consecutive indices;
+block b draws from one generator seeded by
+SeedSequence(entropy=master_seed, spawn_key=(b,)), so every replica's draws
+depend only on (master_seed, its block, its place in the block). Workers
+receive whole blocks and results are assembled in replica-index order, making
+the output independent of the worker count and of scheduling.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 THREADS_ENV_VAR = "BRANCHSIM_THREADS"
 
+REPLICA_BLOCK = 64  # replicas per random stream; never depends on the worker count
+
 
 def default_threads() -> int:
     value = os.environ.get(THREADS_ENV_VAR)
@@ -23,30 +27,39 @@ def default_threads() -> int:
     return 1
 
 
-def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replica_index,))
+def replica_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """Generator of stream `stream` under master_seed (a replica block index
+    in the engine, 0 for the spine estimators)."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream,))
     return np.random.default_rng(seq)
 
 
-def _run_chunk(task, lo, hi, master_seed):
-    return [task(i, replica_rng(master_seed, i)) for i in range(lo, hi)]
+def _run_blocks(task, first, last, n_replicas, master_seed):
+    out = []
+    for block in range(first, last):
+        lo = block * REPLICA_BLOCK
+        n = min(REPLICA_BLOCK, n_replicas - lo)
+        out.extend(task(n, replica_rng(master_seed, block)))
+    return out
 
 
 def map_replicas(task, n_replicas: int, master_seed: int, threads: int = 1) -> list:
-    """[task(i, rng_i) for i in range(n_replicas)], optionally process-parallel.
+    """Per-replica results of task(n, rng_b) over the replica blocks b,
+    optionally process-parallel.
 
-    task must be picklable (a module-level function or a dataclass with
-    __call__); results come back in replica-index order regardless of the
-    worker count.
+    task(n, rng) returns the results of n replicas drawn from rng, and must
+    be picklable (a module-level function or a dataclass with __call__);
+    results come back in replica-index order regardless of the worker count.
     """
-    if threads <= 1 or n_replicas <= 1:
-        return _run_chunk(task, 0, n_replicas, master_seed)
-    n_chunks = min(n_replicas, 4 * threads)
-    bounds = np.linspace(0, n_replicas, n_chunks + 1).astype(int)
+    n_blocks = -(-n_replicas // REPLICA_BLOCK)
+    if threads <= 1 or n_blocks <= 1:
+        return _run_blocks(task, 0, n_blocks, n_replicas, master_seed)
+    n_chunks = min(n_blocks, 4 * threads)
+    bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int)
     out = []
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [
-            pool.submit(_run_chunk, task, int(lo), int(hi), master_seed)
+            pool.submit(_run_blocks, task, int(lo), int(hi), n_replicas, master_seed)
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]

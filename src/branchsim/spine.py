@@ -41,12 +41,7 @@ def _wrap(f):
 
 def _terminal_states(motion, x0, t, n, rng):
     """n i.i.d. states at time t started from x0 (exact one-shot sampling)."""
-    try:
-        xs = np.full(n, float(x0))
-        ys = motion.step_many(xs, t, rng)
-        return [ABSORBED if math.isnan(y) else float(y) for y in ys]
-    except (NotImplementedError, TypeError):
-        return [motion.step(x0, t, rng) for _ in range(n)]
+    return motion.decode(motion.step_many(np.full(n, motion.encode(x0)), t, rng))
 
 
 def _mean_se(values):
@@ -86,11 +81,15 @@ class TwoSpinePath:
     terminal_2: object
 
 
-def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePath:
+def _split_rate(law: BranchingLaw) -> float:
     split_rate = (law.m2 - law.m1) * law.rate_r
     if not split_rate > 0:
         raise ConfigurationError(f"(m2 - m1) r must be > 0, got {split_rate}")
-    E = rng.exponential(1.0 / split_rate)
+    return split_rate
+
+
+def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePath:
+    E = rng.exponential(1.0 / _split_rate(law))
     if E >= t:
         y = motion.step(x0, t, rng)
         return TwoSpinePath(E, y, y, y)
@@ -100,6 +99,32 @@ def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePa
     y1 = motion.step(y, t - E, rng)
     y2 = motion.step(y, t - E, rng)
     return TwoSpinePath(E, y, y1, y2)
+
+
+PATH_CHUNK = 32_768  # paths moved per step_many call in many_to_two
+
+
+def _two_spine_values(motion, law, x0, fw, gw, t, n, rng):
+    """Weighted f(X1_t) g(X2_t) of n two-spine paths: the split times, then the
+    trunks to min(E, t), then both branches of the paths that split alive."""
+    weight_coeff = (law.var_m + (law.m1 - 1.0) ** 2) * law.rate_r
+    E = rng.exponential(1.0 / _split_rate(law), n)
+    trunk = motion.step_many(np.full(n, motion.encode(x0)), np.minimum(E, t), rng)
+    y1, y2 = trunk.copy(), trunk.copy()
+    split = np.flatnonzero((E < t) & ~np.isnan(trunk))
+    y1[split] = motion.step_many(trunk[split], t - E[split], rng)
+    y2[split] = motion.step_many(trunk[split], t - E[split], rng)
+    f1 = _evaluate(motion, fw, y1, ~np.isnan(y1))
+    f2 = _evaluate(motion, gw, y2, (f1 != 0) & ~np.isnan(y2))
+    return np.exp(weight_coeff * np.minimum(E, t)) * f1 * f2
+
+
+def _evaluate(motion, fn, values, where):
+    """fn at the states encoded by values where the mask holds, 0 elsewhere
+    (fn vanishes on absorbed states, and the product only needs f != 0)."""
+    out = np.zeros(len(values))
+    out[where] = [fn(s) for s in motion.decode(values[where])]
+    return out
 
 
 def many_to_two(
@@ -117,22 +142,23 @@ def many_to_two(
         raise ConfigurationError(f"t must be > 0, got {t}")
     rng = replica_rng(seed, 0)
     fw, gw = _wrap(f), _wrap(g)
-    weight_coeff = (law.var_m + (law.m1 - 1.0) ** 2) * law.rate_r
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        path = sample_two_spine(motion, law, x0, t, rng)
-        w = math.exp(weight_coeff * min(path.split_time, t))
-        vals[i] = w * fw(path.terminal_1) * gw(path.terminal_2)
+    vals = np.concatenate(
+        [
+            _two_spine_values(motion, law, x0, fw, gw, t, min(PATH_CHUNK, n_paths - lo), rng)
+            for lo in range(0, n_paths, PATH_CHUNK)
+        ]
+    )
     mean, se = _mean_se(vals)
-    if mean != 0:
-        cv = float(vals.std(ddof=1)) / abs(mean)
-        if cv > 10.0:
-            warnings.warn(
-                f"two-spine weights are heavy-tailed (CV = {cv:.1f} > 10); "
-                "estimate may be unreliable near/below the L2 threshold",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    # a sample in which no path contributes is the limit of a heavy tail (one
+    # contributing path gives CV = sqrt(n)): its 0 +- 0 is no estimate either
+    cv = float(vals.std(ddof=1)) / abs(mean) if mean != 0 else math.inf
+    if cv > 10.0:
+        warnings.warn(
+            f"two-spine weights are heavy-tailed (CV = {cv:.1f} > 10); "
+            "estimate may be unreliable near/below the L2 threshold",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     scale = math.exp(2.0 * law.growth_rate * t)
     return EstimateWithError(scale * mean, scale * se, n_paths, 0)
 

@@ -58,11 +58,3 @@ def canonicalize(config):
     d = len(sites[0])
     mins = tuple(min(s[i] for s in sites) for i in range(d))
     return frozenset(tuple(c - m for c, m in zip(s, mins)) for s in sites)
-
-
-def validate_positive_real(x, what="state"):
-    from .errors import ConfigurationError
-
-    if not (isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0):
-        raise ConfigurationError(f"{what} must be a strictly positive real, got {x!r}")
-    return float(x)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .branching import BranchingLaw
 from .eigen import EigenData
@@ -37,6 +36,11 @@ class EstimateWithError:
 
 def snapshot_statistic(replica_snapshots, index: int, fn) -> EstimateWithError:
     """Mean of fn(snapshot) at one snapshot index across non-truncated replicas."""
+    return _mean_estimate(*_snapshot_values(replica_snapshots, index, fn))
+
+
+def _snapshot_values(replica_snapshots, index, fn):
+    """fn(snapshot) over the non-truncated replicas, and the excluded count."""
     vals, excluded = [], 0
     for snaps in replica_snapshots:
         snap = snaps[index]
@@ -46,7 +50,10 @@ def snapshot_statistic(replica_snapshots, index: int, fn) -> EstimateWithError:
             vals.append(fn(snap))
     if not vals:
         raise ConfigurationError("all replicas truncated; nothing to aggregate")
-    arr = np.asarray(vals, dtype=float)
+    return np.asarray(vals, dtype=float), excluded
+
+
+def _mean_estimate(arr, excluded) -> EstimateWithError:
     se = float(arr.std(ddof=1)) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
     return EstimateWithError(float(arr.mean()), se, len(arr), excluded)
 
@@ -69,7 +76,7 @@ def malthusian_D(snapshot, eigen: EigenData, law: BranchingLaw, x0, allow_surrog
     if h0 <= 0:
         raise ConfigurationError(f"h(x0) must be positive, got {h0}")
     damp = math.exp(-(law.growth_rate - eigen.lam) * snapshot.time)
-    return damp * sum(eigen.h(u) for u in snapshot.live_states) / h0
+    return damp * float(eigen.h_many(snapshot.live_states).sum()) / h0
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,10 @@ def martingale_curve(
     times = tuple(s.time for s in replica_snapshots[0])
     cols = {k: [] for k in ("m", "s", "sem", "ses", "n", "x")}
     for i, t in enumerate(times):
-        d = snapshot_statistic(
+        D, excluded = _snapshot_values(
             replica_snapshots, i, lambda s: malthusian_D(s, eigen, law, x0, allow_surrogate)
         )
-        d2 = snapshot_statistic(
-            replica_snapshots, i, lambda s: malthusian_D(s, eigen, law, x0, allow_surrogate) ** 2
-        )
+        d, d2 = _mean_estimate(D, excluded), _mean_estimate(D * D, excluded)
         cols["m"].append(d.value)
         cols["s"].append(d2.value)
         cols["sem"].append(d.std_error)
@@ -175,6 +180,10 @@ def phi_quadrature(
     if slope >= 0:
         return PhiResult(math.inf, True, False, slope)
     ambiguous = abs(slope) < tol
+
+    # imported here: scipy.integrate adds about 27 MB of resident memory
+    # (scipy 1.17) to every run, and only this quadrature needs it
+    from scipy.integrate import quad
 
     head, _ = quad(integrand, 0.0, t_max, limit=200)
     tail = integrand(t_max) / abs(slope)  # exponential-tail extrapolation

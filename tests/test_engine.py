@@ -113,3 +113,31 @@ def test_near_degenerate_law_keeps_single_lineage_rare_branching():
     cfg = SimulationConfig(horizon=1.0, snapshot_times=(1.0,), seed=2)
     reps = run_replicas(m, law, 0, cfg, n_replicas=200, threads=1)
     assert all(r[0].size == 1 for r in reps)
+
+
+@pytest.mark.parametrize(
+    "motion, x0",
+    [(KilledOU(1.0), 1.0), (GaltonWatson(((-1, 0.6), (1, 0.4))), 2)],
+    ids=["killed-ou", "galton-watson"],
+)
+def test_replicas_do_not_depend_on_threads(motion, x0):
+    # 150 replicas: two full blocks of 64 and a partial one
+    law = binary_law(0.2, 2.0)
+    cfg = SimulationConfig(horizon=1.5, snapshot_times=(0.5, 1.5), seed=11)
+    by_threads = [run_replicas(motion, law, x0, cfg, n_replicas=150, threads=t) for t in (1, 2, 8)]
+    assert len(by_threads[0]) == 150
+    assert by_threads[0] == by_threads[1] == by_threads[2]
+    assert any(r[-1].size > 1 for r in by_threads[0])
+
+
+def test_killed_ou_mean_population_matches_closed_form():
+    # E|xi_t| = e^{r(m1-1) t} P_x(X_t > 0) = e^{gt} erf(x0 / sqrt(2 tau(t)))
+    m = KilledOU(1.0)
+    law = binary_law(0.2, 2.0)  # g = 1.2
+    cfg = SimulationConfig(horizon=2.0, snapshot_times=(0.5, 1.0, 2.0), seed=4)
+    reps = run_replicas(m, law, 1.0, cfg, n_replicas=3000, threads=1)
+    for k, t in enumerate(cfg.snapshot_times):
+        sizes = np.array([r[k].size for r in reps], dtype=float)
+        se = sizes.std(ddof=1) / math.sqrt(len(sizes))
+        exact = math.exp(1.2 * t) * m.survival_probability(1.0, t)
+        assert abs(sizes.mean() - exact) < 4 * se

@@ -65,6 +65,22 @@ def test_ctmc_step_matches_matrix_exponential():
     assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
+def test_ctmc_step_many_matches_expm_at_array_dt():
+    from scipy.linalg import expm
+
+    m = ErgodicCTMC.default_example()
+    n = 60_000
+    dt = np.where(np.arange(n) < n // 2, 0.8, 2.5)
+    ys = m.step_many(np.full(n, 1.0), dt, RNG(8))
+    assert not np.isnan(ys).any()
+    for t in (0.8, 2.5):
+        p = expm(m.Q * t)[1]
+        counts = np.bincount(ys[dt == t].astype(int), minlength=5)
+        k = n // 2
+        assert np.all(np.abs(counts / k - p) < 4 * np.sqrt(p * (1 - p) / k))
+    assert m.decode(ys[:3]) == [int(y) for y in ys[:3]]
+
+
 def test_ctmc_trivial_eigendata():
     m = ErgodicCTMC.default_example()
     eig = m.eigen_data()
@@ -116,6 +132,21 @@ def test_gw_martingale_is_mean_one():
     assert abs((vals**2).mean() - gw.eigen_data().m2_martingale(x0, t)) < 4 * m2_se
 
 
+def test_gw_step_many_matches_second_moment_at_array_dt():
+    gw = GaltonWatson(((-1, 0.6), (1, 0.4)))
+    eig = gw.eigen_data()
+    x0, n = 3, 100_000
+    dt = np.where(np.arange(n) < n // 2, 0.5, 2.0)
+    ys = gw.step_many(np.full(n, float(x0)), dt, RNG(12))
+    assert np.all(np.isnan(ys) | ((ys >= 1) & (ys == np.round(ys))))
+    for t in (0.5, 2.0):
+        M = np.nan_to_num(ys[dt == t]) * math.exp(gw.lam * t) / x0
+        k = len(M)
+        assert abs(M.mean() - 1.0) < 4 * M.std(ddof=1) / math.sqrt(k)
+        m2 = M**2
+        assert abs(m2.mean() - eig.m2_martingale(x0, t)) < 4 * m2.std(ddof=1) / math.sqrt(k)
+
+
 # ---------------------------------------------------------------------------
 # contact process modulo translations
 # ---------------------------------------------------------------------------
@@ -152,6 +183,20 @@ def test_contact_step_stays_canonical():
     assert eig.h(frozenset({(0,), (1,), (4,)})) == 3.0
     with pytest.raises(ConfigurationError):
         eig.nu_mass(Interval(0.0, 1.0))
+
+
+def test_contact_step_many_stays_canonical():
+    m = ContactProcessModT(1, 0.4)
+    start = frozenset({(0,), (1,)})
+    code = m.encode(start)
+    assert m.decode([code]) == [start] and m.encode(start) == code
+    n = 400
+    ys = m.step_many(np.full(n, code), np.linspace(0.1, 3.0, n), RNG(10))
+    states = m.decode(ys)
+    alive = [s for s in states if not is_absorbed(s)]
+    assert alive and len(alive) < n  # some lineages die out, some survive
+    assert all(canonicalize(s) == s for s in alive)
+    assert sum(is_absorbed(s) for s in states) == int(np.isnan(ys).sum())
 
 
 def test_contact_requires_canonical_state():
@@ -233,6 +278,19 @@ def test_transient_ou_martingale_moments():
     m2 = M**2
     assert eig.m2_martingale(x0, t) == pytest.approx(3.1650534017742284)
     assert abs(m2.mean() - 3.1650534017742284) < 4 * m2.std(ddof=1) / math.sqrt(n)
+
+
+def test_transient_ou_samplers_accept_array_dt():
+    m = TransientOU(0.5, 1.0)
+    x0, n = 1.0, 100_000
+    dt = np.where(np.arange(n) < n // 2, 0.5, 1.5)
+    for sampler, moments in ((m.step_many, m.moments), (m.tilted_step_many, m.tilted_moments)):
+        ys = sampler(np.full(n, x0), dt, RNG(3))
+        for t in (0.5, 1.5):
+            mean, var = moments(x0, t)
+            sample = ys[dt == t]
+            assert abs(sample.mean() - mean) < 4 * math.sqrt(var / len(sample))
+            assert sample.var(ddof=1) == pytest.approx(var, rel=0.03)
 
 
 def test_transient_ou_tilted_sampler_matches_tilted_density():

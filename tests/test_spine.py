@@ -144,3 +144,20 @@ def test_doob_degenerate_weights_raise():
         doob_weighted_expectation(
             m, m.eigen_data(), 0.1, lambda s: 1.0, 6.0, n_paths=30, seed=0
         )
+
+
+class _BrokenOU(KilledOU):
+    def step_many(self, xs, dt, rng):
+        raise TypeError("sampler bug")
+
+
+def test_sampler_errors_propagate():
+    m = _BrokenOU(1.0)
+    law = binary_law(0.2, 1.0)
+    B = Interval(0.0, math.inf)
+    with pytest.raises(TypeError, match="sampler bug"):
+        many_to_one(m, law, 1.0, B, 1.0, n_paths=10)
+    with pytest.raises(TypeError, match="sampler bug"):
+        many_to_two(m, law, 1.0, B, B, 1.0, n_paths=10)
+    with pytest.raises(TypeError, match="sampler bug"):
+        doob_weighted_expectation(m, m.eigen_data(), 1.0, B, 1.0, n_paths=10)
