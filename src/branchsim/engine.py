@@ -161,8 +161,10 @@ def run_replica(
 ) -> list:
     """Simulate one replica; snapshots at exactly cfg.snapshot_times.
 
-    Without rng the replica draws from stream 0 of cfg.seed, the stream of
-    the first replica block. If the live population exceeds the cap the
+    Without rng the replica draws from stream 0 of cfg.seed. That stream is
+    also the one of the first replica block of run_replicas, but a block of
+    one consumes it in a different order than a full block, so the result
+    equals no replica of run_replicas. If the live population exceeds the cap the
     replica stops advancing and all snapshots at or after the stop time are
     flagged truncated.
     """

@@ -27,7 +27,7 @@ from .eigen import EigenData, martingale_weight
 from .errors import ConfigurationError, DiagnosticError
 from .motions import MotionModel
 from .parallel import replica_rng
-from .states import ABSORBED, is_absorbed
+from .states import is_absorbed
 from .stats import EstimateWithError
 
 
@@ -88,32 +88,33 @@ def _split_rate(law: BranchingLaw) -> float:
     return split_rate
 
 
-def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePath:
-    E = rng.exponential(1.0 / _split_rate(law))
-    if E >= t:
-        y = motion.step(x0, t, rng)
-        return TwoSpinePath(E, y, y, y)
-    y = motion.step(x0, E, rng)
-    if is_absorbed(y):
-        return TwoSpinePath(E, ABSORBED, ABSORBED, ABSORBED)
-    y1 = motion.step(y, t - E, rng)
-    y2 = motion.step(y, t - E, rng)
-    return TwoSpinePath(E, y, y1, y2)
-
-
 PATH_CHUNK = 32_768  # paths moved per step_many call in many_to_two
 
 
-def _two_spine_values(motion, law, x0, fw, gw, t, n, rng):
-    """Weighted f(X1_t) g(X2_t) of n two-spine paths: the split times, then the
-    trunks to min(E, t), then both branches of the paths that split alive."""
-    weight_coeff = (law.var_m + (law.m1 - 1.0) ** 2) * law.rate_r
+def _two_spine_states(motion, law, x0, t, n, rng):
+    """n two-spine paths as encoded arrays (E, trunk, y1, y2): the split times,
+    the trunks at min(E, t), then both branches of the paths that split alive
+    (a path that splits late or dies on the trunk keeps y1 = y2 = trunk)."""
     E = rng.exponential(1.0 / _split_rate(law), n)
     trunk = motion.step_many(np.full(n, motion.encode(x0)), np.minimum(E, t), rng)
     y1, y2 = trunk.copy(), trunk.copy()
     split = np.flatnonzero((E < t) & ~np.isnan(trunk))
     y1[split] = motion.step_many(trunk[split], t - E[split], rng)
     y2[split] = motion.step_many(trunk[split], t - E[split], rng)
+    return E, trunk, y1, y2
+
+
+def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePath:
+    """One two-spine path: element 0 of a one-path call of the array sampler."""
+    E, trunk, y1, y2 = _two_spine_states(motion, law, x0, t, 1, rng)
+    common, terminal_1, terminal_2 = motion.decode(np.concatenate([trunk, y1, y2]))
+    return TwoSpinePath(float(E[0]), common, terminal_1, terminal_2)
+
+
+def _two_spine_values(motion, law, x0, fw, gw, t, n, rng):
+    """Weighted f(X1_t) g(X2_t) of n two-spine paths."""
+    weight_coeff = (law.var_m + (law.m1 - 1.0) ** 2) * law.rate_r
+    E, _, y1, y2 = _two_spine_states(motion, law, x0, t, n, rng)
     f1 = _evaluate(motion, fw, y1, ~np.isnan(y1))
     f2 = _evaluate(motion, gw, y2, (f1 != 0) & ~np.isnan(y2))
     return np.exp(weight_coeff * np.minimum(E, t)) * f1 * f2
@@ -149,10 +150,17 @@ def many_to_two(
         ]
     )
     mean, se = _mean_se(vals)
-    # a sample in which no path contributes is the limit of a heavy tail (one
-    # contributing path gives CV = sqrt(n)): its 0 +- 0 is no estimate either
     cv = float(vals.std(ddof=1)) / abs(mean) if mean != 0 else math.inf
-    if cv > 10.0:
+    if mean == 0:
+        warnings.warn(
+            f"no two-spine path contributed (all {n_paths} weights are 0), so 0 +- 0 "
+            "is not an estimate: either f or g vanishes on every reachable state, "
+            "or contributing paths are too rare because the weights are "
+            "heavy-tailed near/below the L2 threshold",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    elif cv > 10.0:
         warnings.warn(
             f"two-spine weights are heavy-tailed (CV = {cv:.1f} > 10); "
             "estimate may be unreliable near/below the L2 threshold",

@@ -110,6 +110,16 @@ def test_many_to_two_warns_on_heavy_tails():
         many_to_two(m, law, 0.5, B, B, 4.0, n_paths=2000, seed=1)
 
 
+def test_many_to_two_warns_when_no_path_contributes():
+    # a test set outside the support gives an exact 0, which is flagged as no estimate
+    m = KilledOU(1.0)
+    law = binary_law(0.2, 1.0)
+    B = Interval(-math.inf, -1.0)
+    with pytest.warns(RuntimeWarning, match="no two-spine path contributed"):
+        est = many_to_two(m, law, 0.5, B, B, 1.0, n_paths=200, seed=0)
+    assert est.value == 0.0
+
+
 def test_time_must_be_positive():
     m = ErgodicCTMC.default_example()
     law = binary_law(0.2, 1.0)
