@@ -8,8 +8,11 @@ __version__ = "0.1.0"
 from .branching import BranchingLaw, binary_law
 from .eigen import EigenData, martingale_weight
 from .engine import (
+    Observables,
     PopulationSnapshot,
+    ReplicaArrays,
     SimulationConfig,
+    SnapshotSummary,
     run_replica,
     run_replicas,
     survival_indicator,
@@ -65,10 +68,13 @@ __all__ = [
     "KilledOU",
     "MartingaleCurve",
     "MotionModel",
+    "Observables",
     "PhiResult",
     "PopulationSnapshot",
     "Predicate",
+    "ReplicaArrays",
     "SimulationConfig",
+    "SnapshotSummary",
     "TransientOU",
     "TwoSpinePath",
     "W_ratio",

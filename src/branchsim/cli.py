@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import ConfigurationError
-from .parallel import THREADS_ENV_VAR, default_threads
+from .parallel import default_threads
 
 
 def build_parser():
@@ -34,7 +34,7 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help=f"worker process count (default: spec value or ${THREADS_ENV_VAR})",
+        help="worker process count (default: the spec's threads, 1 if unset)",
     )
     sim.add_argument(
         "--assert",
@@ -64,11 +64,12 @@ def _cmd_simulate(args) -> int:
     from .experiments import load_spec, run_experiment
 
     spec = load_spec(args.spec_file, _parse_overrides(args.overrides))
-    threads = args.threads if args.threads is not None else (spec.threads or default_threads())
-    if threads != spec.threads:
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         from dataclasses import replace
 
-        spec = replace(spec, threads=threads)
+        spec = replace(spec, threads=args.threads)
     out_dir = args.out if args.out is not None else spec.out
     code, csv_text, meta = run_experiment(spec, do_assert=args.do_assert, out_dir=out_dir)
     sys.stdout.write(csv_text)

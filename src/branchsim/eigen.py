@@ -34,9 +34,10 @@ class EigenData:
             return 0.0
         return self.motion._h(state)
 
-    def h_many(self, states: np.ndarray) -> np.ndarray:
-        """h over a sequence of live states, as a float array."""
-        return self.motion._h_many(states)
+    def h_many(self, values: np.ndarray) -> np.ndarray:
+        """h at an array of the motion's state codes, as a float array; an
+        absorbed (NaN) code gives 0."""
+        return self.motion._h_many(values)
 
     def nu_mass(self, test_set) -> float:
         """nu-measure of a test set; raises when nu has no closed form."""

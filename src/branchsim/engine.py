@@ -10,8 +10,16 @@ independent, so each sweep moves every particle whose clock rings by the next
 snapshot time s in one ``step_many`` call over ``t_branch - t_last``. At a
 branch event the parent dies and is replaced in place by m i.i.d. offspring:
 offspring counts are drawn in one ``sample_offspring_many`` call and the
-children laid out with ``np.repeat``. At s the whole frontier is moved to s
-and the live states are split by replica.
+children laid out with ``np.repeat``. At s the whole frontier is moved to s,
+sorted by replica and handed to an observer, inside the block task.
+
+Two observers exist. Without ``Observables`` each replica becomes its list of
+``PopulationSnapshot`` (the live states decoded to public states). With
+``Observables`` the block is reduced on the encoded frontier to a few arrays
+(``ReplicaArrays``): sizes, absorption counts, truncation flags, counts in
+test sets, the per-replica sum and minimum of h, and pooled live values.
+Codes of the contact process are per-process interned ids, so observables are
+always evaluated in the process that simulated the block.
 
 Lineages absorbed by the motion are dropped immediately: all descendants of
 an absorbed particle are absorbed and contribute nothing to the live
@@ -21,11 +29,13 @@ counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
 from .branching import BranchingLaw
+from .eigen import EigenData
 from .errors import ConfigurationError
 from .motions import MotionModel
 from .parallel import map_replicas, replica_rng
@@ -80,8 +90,11 @@ def _check_start(motion: MotionModel, x0) -> None:
     motion.validate_state(x0)
 
 
-def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int, rng) -> list:
-    """Snapshots of n independent replicas started at x0, all drawing from rng.
+def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int, rng, observe):
+    """Simulate n independent replicas started at x0, all drawing from rng;
+    at the j-th snapshot time call observe(j, rep, x, absorbed, dead,
+    truncated) with the live codes x sorted by replica rep and the
+    per-replica counters.
 
     A replica whose live population exceeds the cap at the end of a sweep is
     frozen: it stops advancing, and the snapshots at or after that time report
@@ -94,10 +107,12 @@ def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int
     t_branch = rng.exponential(scale, n)
     absorbed = np.zeros(n, dtype=np.int64)
     dead = np.zeros(n, dtype=np.int64)
-    frozen = {}  # replica -> (live states, absorbed count, dead count) at the freeze
-    out = [[] for _ in range(n)]
+    # live codes of the frozen replicas at the freeze; their counters no
+    # longer change, since none of their particles remains on the frontier
+    frozen_rep, frozen_x = np.zeros(0, dtype=rep.dtype), np.zeros(0)
+    truncated = np.zeros(n, dtype=bool)
 
-    for s in cfg.snapshot_times:
+    for j, s in enumerate(cfg.snapshot_times):
         while True:
             due = t_branch <= s
             if not due.any():
@@ -117,10 +132,10 @@ def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int
             t_branch = np.concatenate((t_branch[keep], born + rng.exponential(scale, born.size)))
             over = np.flatnonzero(np.bincount(rep, minlength=n) > cfg.population_cap)
             if over.size:
-                for r in over.tolist():
-                    states = tuple(motion.decode(x[rep == r]))
-                    frozen[r] = (states, int(absorbed[r]), int(dead[r]))
-                moving = ~np.isin(rep, over)
+                truncated[over] = True
+                moving = ~truncated[rep]
+                frozen_rep = np.concatenate((frozen_rep, rep[~moving]))
+                frozen_x = np.concatenate((frozen_x, x[~moving]))
                 rep, x = rep[moving], x[moving]
                 t_last, t_branch = t_last[moving], t_branch[moving]
 
@@ -131,25 +146,155 @@ def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int
         order = order[np.argsort(rep[order], kind="stable")]
         rep, x, t_branch = rep[order], x[order], t_branch[order]
         t_last = np.full(rep.size, s)
-        states = motion.decode(x)
-        ends = np.cumsum(np.bincount(rep, minlength=n)).tolist()
-        for r, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-            if r in frozen:
-                live, n_absorbed, n_dead = frozen[r]
-                truncated = True
-            else:
-                live, n_absorbed, n_dead = tuple(states[lo:hi]), int(absorbed[r]), int(dead[r])
-                truncated = False
-            out[r].append(
+        if frozen_rep.size:
+            all_rep = np.concatenate((rep, frozen_rep))
+            order = np.argsort(all_rep, kind="stable")
+            observe(j, all_rep[order], np.concatenate((x, frozen_x))[order], absorbed, dead, truncated)
+        else:
+            observe(j, rep, x, absorbed, dead, truncated)
+
+
+def _bounds(rep, n):
+    """(lo, hi) of each replica's slice of a frontier sorted by replica."""
+    ends = np.cumsum(np.bincount(rep, minlength=n)).tolist()
+    return zip([0] + ends[:-1], ends)
+
+
+class _SnapshotLists:
+    """Observer that decodes each replica's live states into a list of
+    PopulationSnapshot, one per snapshot time."""
+
+    def __init__(self, motion, n, times):
+        self.motion, self.times = motion, times
+        self.lists = [[] for _ in range(n)]
+
+    def __call__(self, j, rep, x, absorbed, dead, truncated):
+        states = self.motion.decode(x)
+        for r, (lo, hi) in enumerate(_bounds(rep, len(self.lists))):
+            self.lists[r].append(
                 PopulationSnapshot(
-                    time=s,
-                    live_states=live,
-                    absorbed_count=n_absorbed,
-                    dead_count=n_dead,
-                    truncated=truncated,
+                    time=self.times[j],
+                    live_states=tuple(states[lo:hi]),
+                    absorbed_count=int(absorbed[r]),
+                    dead_count=int(dead[r]),
+                    truncated=bool(truncated[r]),
                 )
             )
-    return out
+
+    def result(self) -> list:
+        return self.lists
+
+
+@dataclass(frozen=True)
+class Observables:
+    """What run_replicas reduces each replica's snapshots to.
+
+    Sizes, absorbed and dead counts and truncation flags are always kept.
+    test_sets adds the count of live particles in each set; sum_h and min_h,
+    given the motion's eigendata, add the sum and the minimum of h over the
+    live particles; pool keeps the live values at the last snapshot time of
+    the replicas not truncated, for the motions whose codes are their states.
+    """
+
+    test_sets: tuple = ()
+    sum_h: Optional[EigenData] = None
+    min_h: Optional[EigenData] = None
+    pool: bool = False
+
+
+@dataclass(frozen=True)
+class SnapshotSummary:
+    """One replica at one snapshot time, as read from ReplicaArrays: the
+    fields of PopulationSnapshot without the live states."""
+
+    time: float
+    size: int
+    absorbed_count: int
+    dead_count: int
+    truncated: bool
+
+
+@dataclass(frozen=True, eq=False)
+class ReplicaArrays:
+    """Observables of replicas at the snapshot times, in replica order.
+
+    Per-replica arrays have one row per replica and one column per snapshot
+    time: size, absorbed, dead (int64) and truncated (bool); counts is shaped
+    (replicas, test sets, times); sum_h, min_h (+inf for an empty
+    population) and pooled are None unless observed.
+    Indexing and iteration give the replicas as tuples of SnapshotSummary.
+    """
+
+    times: tuple
+    size: np.ndarray
+    absorbed: np.ndarray
+    dead: np.ndarray
+    truncated: np.ndarray
+    counts: np.ndarray
+    sum_h: Optional[np.ndarray] = None
+    min_h: Optional[np.ndarray] = None
+    pooled: Optional[np.ndarray] = None
+
+    @classmethod
+    def concat(cls, parts) -> "ReplicaArrays":
+        """The replicas of parts, in order."""
+
+        def join(name):
+            arrays = [getattr(part, name) for part in parts]
+            return None if arrays[0] is None else np.concatenate(arrays)
+
+        return cls(parts[0].times, *(join(f.name) for f in fields(cls)[1:]))
+
+    def __len__(self):
+        return len(self.size)
+
+    def __getitem__(self, r):
+        return tuple(
+            SnapshotSummary(t, int(self.size[r, j]), int(self.absorbed[r, j]),
+                            int(self.dead[r, j]), bool(self.truncated[r, j]))
+            for j, t in enumerate(self.times)
+        )
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+
+class _Reduction:
+    """Observer that evaluates Observables on the encoded frontier of a block."""
+
+    def __init__(self, observables: Observables, motion, n, times):
+        self.obs, self.motion, self.times = observables, motion, times
+        shape = (n, len(times))
+        self.size, self.absorbed, self.dead = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        self.truncated = np.zeros(shape, dtype=bool)
+        self.counts = np.zeros((n, len(observables.test_sets), len(times)), dtype=np.int64)
+        self.sum_h = None if observables.sum_h is None else np.zeros(shape)
+        self.min_h = None if observables.min_h is None else np.zeros(shape)
+        self.pooled = None
+
+    def __call__(self, j, rep, x, absorbed, dead, truncated):
+        n = len(self.size)
+        self.size[:, j] = np.bincount(rep, minlength=n)
+        self.absorbed[:, j], self.dead[:, j], self.truncated[:, j] = absorbed, dead, truncated
+        for k, test_set in enumerate(self.obs.test_sets):
+            self.counts[:, k, j] = np.bincount(rep[test_set.contains_many(x, self.motion)], minlength=n)
+        if self.sum_h is not None:
+            h = self.obs.sum_h.h_many(x)
+            # one sum per replica slice: the summation order of
+            # h_many(codes of its live states).sum(), so D_t keeps its bits
+            self.sum_h[:, j] = [h[lo:hi].sum() for lo, hi in _bounds(rep, n)]
+        if self.min_h is not None:
+            # the scalar h of min_h_statistic: h_many can differ from it in
+            # the last bit where h uses exp
+            states, h = self.motion.decode(x), self.obs.min_h.h
+            self.min_h[:, j] = [min(map(h, states[lo:hi]), default=np.inf)
+                                for lo, hi in _bounds(rep, n)]
+        if self.obs.pool and j == len(self.times) - 1:
+            self.pooled = x[~truncated[rep]]
+
+    def result(self) -> ReplicaArrays:
+        return ReplicaArrays(self.times, self.size, self.absorbed, self.dead, self.truncated,
+                             self.counts, self.sum_h, self.min_h, self.pooled)
 
 
 def run_replica(
@@ -171,7 +316,9 @@ def run_replica(
     _check_start(motion, x0)
     if rng is None:
         rng = replica_rng(cfg.seed, 0)
-    return _simulate_block(motion, law, x0, cfg, 1, rng)[0]
+    observer = _SnapshotLists(motion, 1, cfg.snapshot_times)
+    _simulate_block(motion, law, x0, cfg, 1, rng, observer)
+    return observer.result()[0]
 
 
 @dataclass(frozen=True)
@@ -180,15 +327,35 @@ class _BlockTask:
     law: BranchingLaw
     x0: object
     cfg: SimulationConfig
+    observables: Optional[Observables]
 
     def __call__(self, n, rng):
-        return _simulate_block(self.motion, self.law, self.x0, self.cfg, n, rng)
+        times = self.cfg.snapshot_times
+        if self.observables is None:
+            observer = _SnapshotLists(self.motion, n, times)
+        else:
+            observer = _Reduction(self.observables, self.motion, n, times)
+        _simulate_block(self.motion, self.law, self.x0, self.cfg, n, rng, observer)
+        return observer.result()
+
+    def join(self, parts):
+        if self.observables is None:
+            return [snaps for part in parts for snaps in part]
+        return ReplicaArrays.concat(parts)
 
 
-def run_replicas(motion, law, x0, cfg: SimulationConfig, n_replicas: int, threads: int = 1):
-    """n independent replicas, in replica-index order regardless of threads."""
+def run_replicas(
+    motion, law, x0, cfg: SimulationConfig, n_replicas: int, threads: int = 1,
+    observables: Observables = None,
+):
+    """n independent replicas, in replica-index order regardless of threads:
+    one PopulationSnapshot list per replica, or with observables their
+    ReplicaArrays. The draws do not depend on observables."""
     _check_start(motion, x0)
-    return map_replicas(_BlockTask(motion, law, x0, cfg), n_replicas, cfg.seed, threads)
+    if observables is not None and observables.pool and not motion.codes_are_values:
+        raise ConfigurationError("pooled live values need a motion whose codes are its states")
+    task = _BlockTask(motion, law, x0, cfg, observables)
+    return map_replicas(task, n_replicas, cfg.seed, threads)
 
 
 def survival_indicator(snapshots) -> list:

@@ -15,13 +15,14 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import yaml
 
 from .branching import BranchingLaw
 from .eigen import martingale_weight
-from .engine import SimulationConfig, run_replicas
+from .engine import Observables, SimulationConfig, run_replicas
 from .errors import ConfigurationError
 from .fixedpoint import (
     DEFAULT_EPSILON,
@@ -39,15 +40,8 @@ from .motions import (
 )
 from .spine import many_to_one, many_to_two
 from .states import canonicalize
-from .stats import (
-    ks_distance,
-    malthusian_D,
-    martingale_curve,
-    min_h_statistic,
-    phi_quadrature,
-    snapshot_statistic,
-)
-from .testsets import FiniteSet, Interval, Predicate, count_in
+from .stats import ks_distance, martingale_curve, phi_quadrature, replica_statistic
+from .testsets import FiniteSet, Interval, Predicate
 
 EXPERIMENT_KINDS = (
     "many-to-one-check",
@@ -179,7 +173,7 @@ class ExperimentSpec:
     replicas: int
     seed: int = DEFAULT_SEED
     threads: int = 1
-    out: str = "."
+    out: Optional[str] = None  # output directory; None writes no files
     extras: dict = field(default_factory=dict)
 
     def build(self):
@@ -215,12 +209,18 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
     else:
         problems.append("branching must be a mapping")
     times = doc.get("snapshot_times", [])
-    if not times:
-        problems.append("snapshot_times must be a nonempty increasing list")
+    if not (isinstance(times, (list, tuple)) and times and all(_is_number(t) for t in times)):
+        problems.append(f"snapshot_times must be a nonempty list of numbers, got {times!r}")
+        times = ()
     horizon = doc.get("horizon", max(times) if times else None)
-    replicas = int(doc.get("replicas", 10_000))
-    if replicas < 1:
-        problems.append("replicas must be >= 1")
+    if "horizon" in doc and not _is_number(horizon):
+        problems.append(f"horizon must be a number, got {horizon!r}")
+    replicas = _integer(doc, "replicas", 10_000, 1, problems)
+    seed = _integer(doc, "seed", DEFAULT_SEED, 0, problems)
+    threads = _integer(doc, "threads", 1, 1, problems)
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        problems.append(f"out must be a directory path, got {out!r}")
     if problems:
         raise ConfigurationError(*problems)
     known = {
@@ -244,16 +244,35 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
         horizon=float(horizon),
         snapshot_times=tuple(float(t) for t in times),
         replicas=replicas,
-        seed=int(doc.get("seed", DEFAULT_SEED)),
-        threads=int(doc.get("threads", 1)),
-        out=str(doc.get("out", ".")),
+        seed=seed,
+        threads=threads,
+        out=out,
         extras=extras,
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(doc, key, default, minimum, problems):
+    """doc[key] (or default) when it is an integer >= minimum; otherwise the
+    problem is recorded and default returned."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        problems.append(f"{key} must be an integer, got {value!r}")
+        return default
+    if value < minimum:
+        problems.append(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def load_spec(path: str, overrides: dict = None) -> ExperimentSpec:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"cannot read spec file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"spec file {path} must contain a mapping")
     return parse_spec(doc, overrides)
@@ -266,7 +285,12 @@ def _apply_override(doc, dotted, value):
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
             raise ConfigurationError(f"cannot override through non-mapping key {key!r}")
-    node[keys[-1]] = yaml.safe_load(value) if isinstance(value, str) else value
+    if isinstance(value, str):
+        try:
+            value = yaml.safe_load(value)
+        except yaml.YAMLError:
+            raise ConfigurationError(f"override {dotted}={value!r} is not a YAML value") from None
+    node[keys[-1]] = value
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +328,9 @@ def _test_sets(spec):
     return DEFAULT_TEST_SETS[spec.motion_block["kind"]]
 
 
-def _engine_replicas(spec, motion, law, x0, cap=None):
-    kwargs = {"population_cap": cap} if cap else {}
-    cfg = SimulationConfig(spec.horizon, spec.snapshot_times, seed=spec.seed, **kwargs)
-    return run_replicas(motion, law, x0, cfg, spec.replicas, spec.threads)
+def _engine_replicas(spec, motion, law, x0, observables):
+    cfg = SimulationConfig(spec.horizon, spec.snapshot_times, seed=spec.seed)
+    return run_replicas(motion, law, x0, cfg, spec.replicas, spec.threads, observables)
 
 
 def _joint_check(name, a, b, n_se=4.0):
@@ -320,11 +343,11 @@ def _joint_check(name, a, b, n_se=4.0):
 def run_many_to_one_check(spec, motion, law, x0):
     sets = _test_sets(spec)
     n_spine = int(spec.extras.get("spine_paths", 100_000))
-    replicas = _engine_replicas(spec, motion, law, x0)
+    replicas = _engine_replicas(spec, motion, law, x0, Observables(test_sets=sets))
     rows, checks = [], []
     for j, B in enumerate(sets):
         for i, t in enumerate(spec.snapshot_times):
-            eng = snapshot_statistic(replicas, i, lambda s: count_in(s.live_states, B))
+            eng = replica_statistic(replicas.counts[:, j, i], replicas.truncated[:, i])
             spn = many_to_one(motion, law, x0, B, t, n_spine, seed=spec.seed + 1)
             rows.append(_row(t, f"engine_mean[B{j}]", eng))
             rows.append(_row(t, f"spine_mean[B{j}]", spn))
@@ -335,13 +358,12 @@ def run_many_to_one_check(spec, motion, law, x0):
 def run_many_to_two_check(spec, motion, law, x0):
     sets = _test_sets(spec)
     n_spine = int(spec.extras.get("spine_paths", 100_000))
-    replicas = _engine_replicas(spec, motion, law, x0)
+    replicas = _engine_replicas(spec, motion, law, x0, Observables(test_sets=sets))
     rows, checks = [], []
     for j, B in enumerate(sets):
         for i, t in enumerate(spec.snapshot_times):
-            eng = snapshot_statistic(
-                replicas, i, lambda s: count_in(s.live_states, B) ** 2
-            )
+            count = replicas.counts[:, j, i]
+            eng = replica_statistic(count * count, replicas.truncated[:, i])
             spn = many_to_two(motion, law, x0, B, B, t, n_spine, seed=spec.seed + 1)
             rows.append(_row(t, f"engine_second_moment[B{j}]", eng))
             rows.append(_row(t, f"spine_second_moment[B{j}]", spn))
@@ -352,7 +374,7 @@ def run_many_to_two_check(spec, motion, law, x0):
 def run_martingale_curve(spec, motion, law, x0):
     eigen = motion.eigen_data()
     allow = bool(spec.extras.get("allow_surrogate", False))
-    replicas = _engine_replicas(spec, motion, law, x0)
+    replicas = _engine_replicas(spec, motion, law, x0, Observables(sum_h=eigen))
     curve = martingale_curve(replicas, eigen, law, x0, allow_surrogate=allow)
     rows, checks = [], []
     for i, t in enumerate(curve.times):
@@ -375,7 +397,7 @@ def run_martingale_curve(spec, motion, law, x0):
 def run_phi(spec, motion, law, x0):
     eigen = motion.eigen_data()
     phi = phi_quadrature(motion, eigen, law, x0)
-    replicas = _engine_replicas(spec, motion, law, x0)
+    replicas = _engine_replicas(spec, motion, law, x0, Observables(sum_h=eigen))
     curve = martingale_curve(replicas, eigen, law, x0)
     rows = [
         _scalar_row(t, "second_moment_D", curve.second_moment_D[i], curve.se_second[i],
@@ -412,7 +434,8 @@ def run_l2_threshold_scan(spec, motion, law, x0):
         scan_law = BranchingLaw(law.offspring_pmf, rate)
         scan_spec_seed = spec.seed + k
         cfg = SimulationConfig(spec.horizon, spec.snapshot_times, seed=scan_spec_seed)
-        replicas = run_replicas(motion, scan_law, x0, cfg, spec.replicas, spec.threads)
+        replicas = run_replicas(motion, scan_law, x0, cfg, spec.replicas, spec.threads,
+                                Observables(sum_h=eigen))
         curve = martingale_curve(replicas, eigen, scan_law, x0)
         by_time = dict(zip(curve.times, range(len(curve.times))))
         for i, t in enumerate(curve.times):
@@ -459,16 +482,11 @@ def qsd_cdf(motion):
 def run_qsd_fit(spec, motion, law, x0):
     cdf = qsd_cdf(motion)
     threshold = float(spec.extras.get("ks_threshold", 0.05))
-    replicas = _engine_replicas(spec, motion, law, x0)
-    last = len(spec.snapshot_times) - 1
-    pooled, surviving, excluded = [], 0, 0
-    for snaps in replicas:
-        snap = snaps[last]
-        if snap.truncated:
-            excluded += 1
-        elif snap.size > 0:
-            surviving += 1
-            pooled.extend(float(u) for u in snap.live_states)
+    replicas = _engine_replicas(spec, motion, law, x0, Observables(pool=True))
+    truncated = replicas.truncated[:, -1]
+    excluded = int(truncated.sum())
+    surviving = int((~truncated & (replicas.size[:, -1] > 0)).sum())
+    pooled = replicas.pooled
     if surviving == 0:
         raise ConfigurationError("no surviving replicas at the final time")
     ks = ks_distance(pooled, cdf)
@@ -513,20 +531,15 @@ def run_eta_sigma(spec, motion, law, x0):
 
 def run_min_h_diagnostic(spec, motion, law, x0):
     eigen = motion.eigen_data()
-    replicas = _engine_replicas(spec, motion, law, x0)
+    replicas = _engine_replicas(spec, motion, law, x0, Observables(min_h=eigen))
     rows, checks = [], []
     q10_by_time = {}
     for i, t in enumerate(spec.snapshot_times):
-        vals, excluded, surviving = [], 0, 0
-        for snaps in replicas:
-            snap = snaps[i]
-            if snap.truncated:
-                excluded += 1
-                continue
-            if snap.size > 0:
-                surviving += 1
-                vals.append(min_h_statistic(snap, eigen))
-        if vals:
+        truncated = replicas.truncated[:, i]
+        alive = ~truncated & (replicas.size[:, i] > 0)
+        vals = replicas.min_h[alive, i]
+        excluded, surviving = int(truncated.sum()), int(alive.sum())
+        if surviving:
             q10 = float(np.quantile(vals, 0.10))
             q10_by_time[t] = q10
             rows.append(_scalar_row(t, "min_h_q10", q10, 0.0, surviving, excluded))

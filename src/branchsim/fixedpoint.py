@@ -15,9 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 from .branching import BranchingLaw
-from .engine import SimulationConfig, run_replicas
+from .engine import Observables, SimulationConfig, run_replicas
 from .errors import ConfigurationError
-from .stats import EstimateWithError, malthusian_D, phi_quadrature
+from .stats import EstimateWithError, phi_quadrature, replica_D
 
 EPSILON_SWEEP = (1e-2, 1e-3, 1e-4)
 DEFAULT_EPSILON = 1e-3
@@ -66,13 +66,10 @@ def eta_curve(
     horizon lower bound for the extinction probability eta(x0)."""
     kwargs = {"population_cap": population_cap} if population_cap else {}
     cfg = SimulationConfig(horizon, tuple(snapshot_times), seed=seed, **kwargs)
-    replicas = run_replicas(motion, law, x0, cfg, n_replicas, threads)
-    out = []
-    for i in range(len(cfg.snapshot_times)):
-        # a truncated replica is certainly alive, so it counts as non-extinct
-        k = sum(1 for snaps in replicas if not snaps[i].truncated and snaps[i].size == 0)
-        out.append(_wilson_estimate(k, n_replicas))
-    return out
+    replicas = run_replicas(motion, law, x0, cfg, n_replicas, threads, Observables())
+    # a truncated replica is certainly alive, so it counts as non-extinct
+    extinct = (~replicas.truncated & (replicas.size == 0)).sum(axis=0)
+    return [_wilson_estimate(int(k), n_replicas) for k in extinct]
 
 
 @dataclass(frozen=True)
@@ -111,20 +108,10 @@ def sigma_estimate(
         pass  # no closed-form E[M_s^2]; proceed without the L2 check
 
     cfg = SimulationConfig(horizon, (horizon,), seed=seed)
-    replicas = run_replicas(motion, law, x0, cfg, n_replicas, threads)
-    d_values, excluded = [], 0
-    for snaps in replicas:
-        snap = snaps[0]
-        if snap.truncated:
-            excluded += 1
-        else:
-            d_values.append(malthusian_D(snap, eigen, law, x0, allow_surrogate))
-    if not d_values:
-        raise ConfigurationError("all replicas truncated; sigma not estimable")
-
-    n = len(d_values)
+    replicas = run_replicas(motion, law, x0, cfg, n_replicas, threads, Observables(sum_h=eigen))
+    D, excluded = replica_D(replicas, 0, eigen, law, x0, allow_surrogate)
     sweep = {
-        eps: _wilson_estimate(sum(1 for d in d_values if d < eps), n, excluded)
+        eps: _wilson_estimate(int((D < eps).sum()), len(D), excluded)
         for eps in sorted(set(EPSILON_SWEEP) | {epsilon})
     }
     main = sweep[epsilon]

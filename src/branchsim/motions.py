@@ -52,6 +52,10 @@ def _norm_cdf(z):
 class MotionModel:
     """Base interface: exact transition sampling plus eigendata."""
 
+    # the code of a state is its own numeric value (test sets compare codes
+    # directly); false where codes are interned ids
+    codes_are_values = True
+
     def step(self, x, dt, rng):
         """State at time dt of a path started at x; ABSORBED if killed in (0, dt]."""
         if is_absorbed(x):
@@ -110,8 +114,8 @@ class MotionModel:
     def _p(self, t):
         return 1.0
 
-    def _h_many(self, states):
-        return np.fromiter((self._h(s) for s in states), dtype=float, count=len(states))
+    def _h_many(self, values):
+        return np.array([0.0 if is_absorbed(s) else self._h(s) for s in self.decode(values)])
 
     def _m2_martingale(self, x0, t):
         raise ConfigurationError(f"{type(self).__name__}: E[M_t^2] is not available")
@@ -221,8 +225,8 @@ class ErgodicCTMC(MotionModel):
     def _h(self, state):
         return 1.0
 
-    def _h_many(self, states):
-        return np.ones(len(states))
+    def _h_many(self, values):
+        return np.ones(len(values))
 
     def _nu_mass(self, test_set):
         pi = self.stationary_distribution()
@@ -321,8 +325,8 @@ class GaltonWatson(MotionModel):
         # h(x) proportional to x, pinned by h(1) = 1
         return float(state)
 
-    def _h_many(self, states):
-        return np.nan_to_num(np.asarray(states, dtype=float), nan=0.0)
+    def _h_many(self, values):
+        return np.nan_to_num(np.asarray(values, dtype=float), nan=0.0)
 
     def _m2_martingale(self, x0, t):
         # from the moment ODEs: E[M_t^2] = 1 + sigma_rho^2 (e^{lam t} - 1) / (lam x)
@@ -376,6 +380,8 @@ class ContactProcessModT(MotionModel):
     d: int
     gamma: float
     lambda_estimate: float = None
+
+    codes_are_values = False  # codes are per-process interned configuration ids
 
     def __post_init__(self):
         problems = []
@@ -513,9 +519,9 @@ class KilledOU(MotionModel):
     def _h(self, state):
         return math.sqrt(4.0 * self.lam / math.pi) * float(state)
 
-    def _h_many(self, states):
+    def _h_many(self, values):
         return math.sqrt(4.0 * self.lam / math.pi) * np.nan_to_num(
-            np.asarray(states, dtype=float), nan=0.0
+            np.asarray(values, dtype=float), nan=0.0
         )
 
     def _nu_mass(self, test_set):
@@ -611,8 +617,8 @@ class TransientOU(MotionModel):
         x = float(state)
         return math.sqrt(self.lam / (math.pi * self.sigma2)) * math.exp(-self.beta * x * x)
 
-    def _h_many(self, states):
-        xs = np.asarray(states, dtype=float)
+    def _h_many(self, values):
+        xs = np.asarray(values, dtype=float)
         out = math.sqrt(self.lam / (math.pi * self.sigma2)) * np.exp(-self.beta * xs * xs)
         return np.nan_to_num(out, nan=0.0)
 
@@ -697,8 +703,8 @@ class KilledDriftBM(MotionModel):
         x = float(state)
         return x * math.exp(self.c * x) / (self.lam * _SQRT2PI)
 
-    def _h_many(self, states):
-        xs = np.asarray(states, dtype=float)
+    def _h_many(self, values):
+        xs = np.asarray(values, dtype=float)
         out = xs * np.exp(self.c * xs) / (self.lam * _SQRT2PI)
         return np.nan_to_num(out, nan=0.0)
 

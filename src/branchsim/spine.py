@@ -27,21 +27,25 @@ from .eigen import EigenData, martingale_weight
 from .errors import ConfigurationError, DiagnosticError
 from .motions import MotionModel
 from .parallel import replica_rng
-from .states import is_absorbed
 from .stats import EstimateWithError
 
 
-def _wrap(f):
-    """Evaluator that vanishes on absorbed states; accepts test sets too."""
-    contains = getattr(f, "contains", None)
-    if contains is not None:
-        return lambda s: 0.0 if is_absorbed(s) else float(contains(s))
-    return lambda s: 0.0 if is_absorbed(s) else float(f(s))
+def _terminal_values(motion, x0, t, n, rng):
+    """Codes of n i.i.d. states at time t started from x0 (exact one-shot sampling)."""
+    return motion.step_many(np.full(n, motion.encode(x0)), t, rng)
 
 
-def _terminal_states(motion, x0, t, n, rng):
-    """n i.i.d. states at time t started from x0 (exact one-shot sampling)."""
-    return motion.decode(motion.step_many(np.full(n, motion.encode(x0)), t, rng))
+def _evaluate(motion, f, values, where):
+    """f at the states encoded by values where the mask holds, 0 elsewhere
+    (f vanishes on absorbed states, and a product only needs f != 0). A test
+    set is evaluated on the codes by its array membership; any other f is
+    called on each decoded state."""
+    out = np.zeros(len(values))
+    if hasattr(f, "contains_many"):
+        out[where] = f.contains_many(values[where], motion)
+    else:
+        out[where] = [float(f(s)) for s in motion.decode(values[where])]
+    return out
 
 
 def _mean_se(values):
@@ -64,9 +68,8 @@ def many_to_one(
     if not t > 0:
         raise ConfigurationError(f"t must be > 0, got {t}")
     rng = replica_rng(seed, 0)
-    fw = _wrap(f)
-    vals = [fw(s) for s in _terminal_states(motion, x0, t, n_paths, rng)]
-    mean, se = _mean_se(vals)
+    values = _terminal_values(motion, x0, t, n_paths, rng)
+    mean, se = _mean_se(_evaluate(motion, f, values, ~np.isnan(values)))
     scale = math.exp(law.growth_rate * t)
     return EstimateWithError(scale * mean, scale * se, n_paths, 0)
 
@@ -111,21 +114,13 @@ def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePa
     return TwoSpinePath(float(E[0]), common, terminal_1, terminal_2)
 
 
-def _two_spine_values(motion, law, x0, fw, gw, t, n, rng):
+def _two_spine_values(motion, law, x0, f, g, t, n, rng):
     """Weighted f(X1_t) g(X2_t) of n two-spine paths."""
     weight_coeff = (law.var_m + (law.m1 - 1.0) ** 2) * law.rate_r
     E, _, y1, y2 = _two_spine_states(motion, law, x0, t, n, rng)
-    f1 = _evaluate(motion, fw, y1, ~np.isnan(y1))
-    f2 = _evaluate(motion, gw, y2, (f1 != 0) & ~np.isnan(y2))
+    f1 = _evaluate(motion, f, y1, ~np.isnan(y1))
+    f2 = _evaluate(motion, g, y2, (f1 != 0) & ~np.isnan(y2))
     return np.exp(weight_coeff * np.minimum(E, t)) * f1 * f2
-
-
-def _evaluate(motion, fn, values, where):
-    """fn at the states encoded by values where the mask holds, 0 elsewhere
-    (fn vanishes on absorbed states, and the product only needs f != 0)."""
-    out = np.zeros(len(values))
-    out[where] = [fn(s) for s in motion.decode(values[where])]
-    return out
 
 
 def many_to_two(
@@ -142,10 +137,9 @@ def many_to_two(
     if not t > 0:
         raise ConfigurationError(f"t must be > 0, got {t}")
     rng = replica_rng(seed, 0)
-    fw, gw = _wrap(f), _wrap(g)
     vals = np.concatenate(
         [
-            _two_spine_values(motion, law, x0, fw, gw, t, min(PATH_CHUNK, n_paths - lo), rng)
+            _two_spine_values(motion, law, x0, f, g, t, min(PATH_CHUNK, n_paths - lo), rng)
             for lo in range(0, n_paths, PATH_CHUNK)
         ]
     )
@@ -187,10 +181,9 @@ def doob_weighted_expectation(
     if eigen.h(x0) <= 0:
         raise ConfigurationError(f"h(x0) must be positive at x0={x0!r}")
     rng = replica_rng(seed, 0)
-    fw = _wrap(f)
-    states = _terminal_states(motion, x0, t, n_paths, rng)
-    weights = np.array([martingale_weight(eigen, x0, s, t) for s in states])
-    vals = weights * np.array([fw(s) for s in states])
+    values = _terminal_values(motion, x0, t, n_paths, rng)
+    weights = np.array([martingale_weight(eigen, x0, s, t) for s in motion.decode(values)])
+    vals = weights * _evaluate(motion, f, values, ~np.isnan(values))
     wsum = float(weights.sum())
     ess = wsum * wsum / float((weights * weights).sum()) if wsum > 0 else 0.0
     if ess < 10.0:

@@ -4,8 +4,10 @@ Covers the growth-normalized martingale D_t, the mean-normalized and
 empirical measure ratios W_t and nu_t, the L2-limit integral Phi, QSD
 goodness-of-fit, and the boundary-collapse diagnostic min h(u_t).
 
-All replica aggregation excludes truncated (cap-hit) replicas — those are
-survival-biased — and reports how many were excluded.
+Estimators read either the ReplicaArrays that run_replicas reduces replicas
+to when given Observables (the path of the experiment runners), or lists of
+PopulationSnapshot. All replica aggregation excludes truncated (cap-hit)
+replicas — those are survival-biased — and reports how many were excluded.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .branching import BranchingLaw
 from .eigen import EigenData
+from .engine import ReplicaArrays
 from .errors import ConfigurationError
 from .testsets import count_in
 
@@ -53,6 +56,19 @@ def _snapshot_values(replica_snapshots, index, fn):
     return np.asarray(vals, dtype=float), excluded
 
 
+def replica_statistic(values, truncated) -> EstimateWithError:
+    """Mean of per-replica values (one column of ReplicaArrays) across the
+    replicas not truncated, whose flags are given."""
+    return _mean_estimate(*_kept(values, truncated))
+
+
+def _kept(values, truncated):
+    """values of the non-truncated replicas as floats, and the excluded count."""
+    if truncated.all():
+        raise ConfigurationError("all replicas truncated; nothing to aggregate")
+    return np.asarray(values)[~truncated].astype(float), int(truncated.sum())
+
+
 def _mean_estimate(arr, excluded) -> EstimateWithError:
     se = float(arr.std(ddof=1)) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
     return EstimateWithError(float(arr.mean()), se, len(arr), excluded)
@@ -63,8 +79,8 @@ def _mean_estimate(arr, excluded) -> EstimateWithError:
 # ---------------------------------------------------------------------------
 
 
-def malthusian_D(snapshot, eigen: EigenData, law: BranchingLaw, x0, allow_surrogate=False):
-    """D_t = (1/h(x0)) sum_u h(u_t) e^{-(r(m1-1) - lambda) t} over live states."""
+def _h0(eigen: EigenData, x0, allow_surrogate) -> float:
+    """h(x0) once the eigendata is checked to define D_t."""
     if eigen.surrogate and not allow_surrogate:
         raise ConfigurationError(
             "eigendata uses a surrogate h; pass allow_surrogate=True to accept "
@@ -75,8 +91,27 @@ def malthusian_D(snapshot, eigen: EigenData, law: BranchingLaw, x0, allow_surrog
     h0 = eigen.h(x0)
     if h0 <= 0:
         raise ConfigurationError(f"h(x0) must be positive, got {h0}")
-    damp = math.exp(-(law.growth_rate - eigen.lam) * snapshot.time)
-    return damp * float(eigen.h_many(snapshot.live_states).sum()) / h0
+    return h0
+
+
+def _D(sum_h, t, eigen, law, h0):
+    """D_t from sum_u h(u_t), a float or an array of them."""
+    return math.exp(-(law.growth_rate - eigen.lam) * t) * sum_h / h0
+
+
+def malthusian_D(snapshot, eigen: EigenData, law: BranchingLaw, x0, allow_surrogate=False):
+    """D_t = (1/h(x0)) sum_u h(u_t) e^{-(r(m1-1) - lambda) t} over live states."""
+    h0 = _h0(eigen, x0, allow_surrogate)
+    codes = np.array([eigen.motion.encode(s) for s in snapshot.live_states], dtype=float)
+    return _D(float(eigen.h_many(codes).sum()), snapshot.time, eigen, law, h0)
+
+
+def replica_D(replicas: ReplicaArrays, index, eigen, law, x0, allow_surrogate=False):
+    """D_t at one snapshot index over the non-truncated replicas of
+    ReplicaArrays observed with sum_h, and the excluded count."""
+    h0 = _h0(eigen, x0, allow_surrogate)
+    sum_h, excluded = _kept(replicas.sum_h[:, index], replicas.truncated[:, index])
+    return _D(sum_h, replicas.times[index], eigen, law, h0), excluded
 
 
 @dataclass(frozen=True)
@@ -96,15 +131,19 @@ class MartingaleCurve:
 
 
 def martingale_curve(
-    replica_snapshots, eigen, law, x0, allow_surrogate=False
+    replicas, eigen, law, x0, allow_surrogate=False
 ) -> MartingaleCurve:
-    """Per-time mean and second moment of D_t across replicas."""
-    times = tuple(s.time for s in replica_snapshots[0])
+    """Per-time mean and second moment of D_t across replicas: ReplicaArrays
+    observed with sum_h, or lists of PopulationSnapshot."""
+    if isinstance(replicas, ReplicaArrays):
+        times = replicas.times
+        columns = [replica_D(replicas, i, eigen, law, x0, allow_surrogate) for i in range(len(times))]
+    else:
+        times = tuple(s.time for s in replicas[0])
+        D_of = lambda s: malthusian_D(s, eigen, law, x0, allow_surrogate)  # noqa: E731
+        columns = [_snapshot_values(replicas, i, D_of) for i in range(len(times))]
     cols = {k: [] for k in ("m", "s", "sem", "ses", "n", "x")}
-    for i, t in enumerate(times):
-        D, excluded = _snapshot_values(
-            replica_snapshots, i, lambda s: malthusian_D(s, eigen, law, x0, allow_surrogate)
-        )
+    for D, excluded in columns:
         d, d2 = _mean_estimate(D, excluded), _mean_estimate(D * D, excluded)
         cols["m"].append(d.value)
         cols["s"].append(d2.value)

@@ -5,15 +5,24 @@ import pytest
 
 from branchsim import (
     ConfigurationError,
+    ContactProcessModT,
     ErgodicCTMC,
+    FiniteSet,
     GaltonWatson,
+    Interval,
     KilledOU,
+    Observables,
     SimulationConfig,
+    TransientOU,
     binary_law,
+    canonicalize,
+    count_in,
+    min_h_statistic,
     run_replica,
     run_replicas,
     survival_indicator,
 )
+from branchsim.experiments import DEFAULT_TEST_SETS
 from branchsim.parallel import replica_rng
 
 
@@ -141,3 +150,64 @@ def test_killed_ou_mean_population_matches_closed_form():
         se = sizes.std(ddof=1) / math.sqrt(len(sizes))
         exact = math.exp(1.2 * t) * m.survival_probability(1.0, t)
         assert abs(sizes.mean() - exact) < 4 * se
+
+
+REDUCER_CASES = {
+    "killed-ou": (KilledOU(1.0), 1.0, (Interval(0.0, math.inf), Interval(1.0, 2.0)), None),
+    "galton-watson": (
+        GaltonWatson(((-1, 0.6), (1, 0.4))), 2, (FiniteSet((1,)), Interval(2.5, math.inf)), None
+    ),
+    "ergodic-ctmc": (ErgodicCTMC.default_example(), 0, DEFAULT_TEST_SETS["ergodic-ctmc"], None),
+    "contact-mod-t": (
+        ContactProcessModT(1, 0.3),
+        canonicalize(frozenset({(0,)})),
+        DEFAULT_TEST_SETS["contact-mod-t"][:2] + (FiniteSet((frozenset({(0,), (1,)}),)),),
+        None,
+    ),
+    # h uses exp: min h must still be the scalar h of min_h_statistic
+    "transient-ou": (TransientOU(0.5), 0.5, (Interval(-1.0, 1.0),), None),
+    # a cap of 6 freezes some replicas mid-run: their later snapshots report
+    # the population at the freeze, flagged truncated
+    "killed-ou-capped": (KilledOU(1.0), 1.0, (Interval(1.0, 2.0),), 6),
+}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("case", sorted(REDUCER_CASES))
+def test_reducers_equal_the_snapshot_observer(case, threads):
+    motion, x0, sets, cap = REDUCER_CASES[case]
+    law = binary_law(0.2, 2.0)
+    kwargs = {"population_cap": cap} if cap else {}
+    cfg = SimulationConfig(horizon=1.5, snapshot_times=(0.5, 1.0, 1.5), seed=21, **kwargs)
+    eigen = motion.eigen_data()
+    # contact-process codes are per-process ids, which cannot be pooled
+    observables = Observables(sets, sum_h=eigen, min_h=eigen, pool=motion.codes_are_values)
+    snapshots = run_replicas(motion, law, x0, cfg, n_replicas=150, threads=threads)
+    arrays = run_replicas(motion, law, x0, cfg, n_replicas=150, threads=threads,
+                          observables=observables)
+    assert len(arrays) == len(snapshots) == 150 and arrays.times == cfg.snapshot_times
+
+    def column(fn):
+        return np.array([[fn(snap) for snap in snaps] for snaps in snapshots])
+
+    def codes(snap):
+        return np.array([motion.encode(s) for s in snap.live_states], dtype=float)
+
+    assert (arrays.size == column(lambda s: s.size)).all()
+    assert (arrays.absorbed == column(lambda s: s.absorbed_count)).all()
+    assert (arrays.dead == column(lambda s: s.dead_count)).all()
+    assert (arrays.truncated == column(lambda s: s.truncated)).all()
+    for k, B in enumerate(sets):
+        assert (arrays.counts[:, k, :] == column(lambda s: count_in(s.live_states, B))).all()
+    # the same sum, over the same values in the same order: equal bits
+    assert (arrays.sum_h == column(lambda s: eigen.h_many(codes(s)).sum())).all()
+    assert (arrays.min_h == column(lambda s: min_h_statistic(s, eigen))).all()
+    if observables.pool:
+        pooled = [codes(snaps[-1]) for snaps in snapshots if not snaps[-1].truncated]
+        assert (arrays.pooled == np.concatenate(pooled)).all()
+    # the replicas read as per-replica snapshot summaries
+    assert [survival_indicator(r) for r in arrays] == [survival_indicator(r) for r in snapshots]
+    assert arrays.counts.sum() > 0 and arrays.sum_h.sum() > 0
+    if cap:
+        assert 0 < arrays.truncated[:, -1].sum() < 150
+        assert (arrays.size[arrays.truncated[:, 0], 0] > cap).all()

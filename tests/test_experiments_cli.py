@@ -155,3 +155,36 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     _, csv1, _ = run_experiment(spec1)
     _, csv8, _ = run_experiment(spec8)
     assert csv1 == csv8
+
+
+@pytest.mark.parametrize(
+    "spec_update, overrides, problem",
+    [
+        ({}, ["--set", "replicas=abc"], "replicas must be an integer, got 'abc'"),
+        ({}, ["--set", "snapshot_times=[a]"], "snapshot_times must be a nonempty list of numbers"),
+        ({"threads": "x"}, [], "threads must be an integer, got 'x'"),
+        ({"seed": 1.5}, [], "seed must be an integer, got 1.5"),
+    ],
+    ids=["replicas-abc", "snapshot-times-a", "threads-x", "seed-1.5"],
+)
+def test_cli_bad_spec_value_exits_2(tmp_path, capsys, spec_update, overrides, problem):
+    path = write_spec(tmp_path, {**BASE_DOC, **spec_update})
+    assert main(["simulate", path] + overrides) == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_cli_lists_every_bad_value(tmp_path, capsys):
+    path = write_spec(tmp_path, {**BASE_DOC, "threads": "x", "seed": 1.5})
+    overrides = ["--set", "replicas=abc", "--set", "snapshot_times=[a]"]
+    assert main(["simulate", path] + overrides) == 2
+    err = capsys.readouterr().err
+    for key in ("replicas", "snapshot_times", "threads", "seed"):
+        assert f"{key} must be" in err
+
+
+def test_cli_simulate_without_out_writes_no_files(tmp_path, monkeypatch, capsys):
+    path = write_spec(tmp_path, BASE_DOC)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", path]) == 0
+    assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.yaml"]
