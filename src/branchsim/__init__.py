@@ -28,7 +28,6 @@ from .motions import (
     MotionModel,
     TransientOU,
     contact_event_rates,
-    gw_event_rates,
 )
 from .spine import (
     TwoSpinePath,
@@ -84,7 +83,6 @@ __all__ = [
     "count_in",
     "doob_weighted_expectation",
     "eta_curve",
-    "gw_event_rates",
     "is_absorbed",
     "ks_distance",
     "malthusian_D",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .parallel import Streams
 
 _PROB_TOL = 1e-12
 
@@ -78,8 +79,9 @@ class BranchingLaw:
         u = rng.random()
         return int(self._ks[np.searchsorted(self._cum, u, side="right")])
 
-    def sample_offspring_many(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n)
+    def sample_offspring_many(self, n: int, rng) -> np.ndarray:
+        """n offspring counts; rng is a Generator or Streams over n particles."""
+        u = Streams.of(rng, n).random()
         return self._ks[np.searchsorted(self._cum, u, side="right")]
 
     def pgf(self, s):

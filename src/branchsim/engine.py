@@ -1,21 +1,31 @@
 """Array-native simulation of the branching dynamics.
 
-Each particle carries an independent Exp(r) branching clock. Replicas are
-simulated a block at a time (``parallel.REPLICA_BLOCK`` of them share one
-random stream) on a frontier of arrays ``(replica, state, t_last,
-t_branch)``, with states in the motion's float64 encoding (NaN marks
-absorption). A particle's state is updated only at its own branch time and at
-snapshot times, which is exact by the Markov property, and particles are
-independent, so each sweep moves every particle whose clock rings by the next
-snapshot time s in one ``step_many`` call over ``t_branch - t_last``. At a
-branch event the parent dies and is replaced in place by m i.i.d. offspring:
-offspring counts are drawn in one ``sample_offspring_many`` call and the
-children laid out with ``np.repeat``. At s the whole frontier is moved to s,
+Each particle carries an independent Exp(r) branching clock. Replicas come in
+blocks of ``parallel.REPLICA_BLOCK`` that share one random stream, and a run
+of consecutive blocks is simulated in lockstep, as one group, on a frontier
+of arrays ``(replica, state, t_last, t_branch)``, with states in the motion's
+float64 encoding (NaN marks absorption). A particle's state is updated only
+at its own branch time and at snapshot times, which is exact by the Markov
+property, and particles are independent, so each sweep moves every particle
+whose clock rings by the next snapshot time s in one ``step_many`` call over
+``t_branch - t_last``. At a branch event the parent dies and is replaced in
+place by m i.i.d. offspring: offspring counts are drawn in one
+``sample_offspring_many`` call and the children laid out with ``np.repeat``.
+Particles whose clock rings after s are parked until s, so a sweep costs the
+particles it moves, not the frontier. At s the whole frontier is moved to s,
 sorted by replica and handed to an observer, inside the block task.
+
+Every draw of a group is split by block (``parallel.Streams``): each block
+draws from its own stream exactly the numbers, in the order, it draws when
+simulated alone, so results do not depend on the grouping. A group starts at
+one block, and each next group is sized from the peak frontier of the last to
+hold about BUDGET particles: many blocks of small populations share the
+Python overhead of a sweep, and a block of tens of thousands of particles
+runs alone.
 
 Two observers exist. Without ``Observables`` each replica becomes its list of
 ``PopulationSnapshot`` (the live states decoded to public states). With
-``Observables`` the block is reduced on the encoded frontier to a few arrays
+``Observables`` each group is reduced on the encoded frontier to a few arrays
 (``ReplicaArrays``): sizes, absorption counts, truncation flags, counts in
 test sets, the per-replica sum and minimum of h, and pooled live values.
 Codes of the contact process are per-process interned ids, so observables are
@@ -38,10 +48,14 @@ from .branching import BranchingLaw
 from .eigen import EigenData
 from .errors import ConfigurationError
 from .motions import MotionModel
-from .parallel import map_replicas, replica_rng
+from .parallel import REPLICA_BLOCK, Streams, map_replicas, replica_rng
 from .states import is_absorbed
 
 DEFAULT_POPULATION_CAP = 10**6
+
+# particles a lockstep group of blocks aims at: the next group gets
+# max(1, BUDGET * blocks / peak frontier) blocks of the last one
+BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -90,58 +104,85 @@ def _check_start(motion: MotionModel, x0) -> None:
     motion.validate_state(x0)
 
 
-def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int, rng, observe):
-    """Simulate n independent replicas started at x0, all drawing from rng;
-    at the j-th snapshot time call observe(j, rep, x, absorbed, dead,
-    truncated) with the live codes x sorted by replica rep and the
-    per-replica counters.
+def _simulate_group(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int,
+                    streams: Streams, observe) -> int:
+    """Simulate n independent replicas started at x0, replica i drawing from
+    the stream of its block i // REPLICA_BLOCK; at the j-th snapshot time call
+    observe(j, rep, x, absorbed, dead, truncated) with the live codes x sorted
+    by replica rep and the per-replica counters. Returns the largest number
+    of particles on the frontier.
+
+    The blocks run in lockstep, and every draw covers the particles of all of
+    them, kept block by block and, within a block, in the order a block
+    simulated alone keeps them; a draw for a block with no particles consumes
+    nothing. So each block draws exactly what it draws alone, and the result
+    does not depend on how blocks are grouped.
 
     A replica whose live population exceeds the cap at the end of a sweep is
     frozen: it stops advancing, and the snapshots at or after that time report
     its population as of the freeze, flagged truncated.
     """
     scale = 1.0 / law.rate_r
+    cap = cfg.population_cap
     rep = np.arange(n)
     x = np.full(n, motion.encode(x0))
     t_last = np.zeros(n)
-    t_branch = rng.exponential(scale, n)
+    t_branch = streams.over(rep).exponential(scale)
     absorbed = np.zeros(n, dtype=np.int64)
     dead = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=np.int64)  # particles of each replica on the frontier
     # live codes of the frozen replicas at the freeze; their counters no
     # longer change, since none of their particles remains on the frontier
     frozen_rep, frozen_x = np.zeros(0, dtype=rep.dtype), np.zeros(0)
     truncated = np.zeros(n, dtype=bool)
+    peak = n
 
     for j, s in enumerate(cfg.snapshot_times):
+        # The frontier is parked chunks, in sweep order, of particles whose
+        # clock rings after s, plus the children of the last sweep: a sweep
+        # touches only those children, since parked particles stay put until s.
+        parked, n_parked = [], 0
         while True:
             due = t_branch <= s
-            if not due.any():
-                break
+            wait = ~due
+            parked.append((rep[wait], x[wait], t_last[wait], t_branch[wait]))
+            n_parked += parked[-1][0].size
             idx = np.flatnonzero(due)
-            keep = np.flatnonzero(~due)
-            y = motion.step_many(x[idx], t_branch[idx] - t_last[idx], rng)
+            if not idx.size:
+                break
+            r, tb = rep[idx], t_branch[idx]
+            y = motion.step_many(x[idx], tb - t_last[idx], streams.over(r))
             gone = np.isnan(y)
-            absorbed += np.bincount(rep[idx[gone]], minlength=n)
-            idx, y = idx[~gone], y[~gone]
-            m = law.sample_offspring_many(idx.size, rng)
-            dead += np.bincount(rep[idx[m == 0]], minlength=n)
-            born = np.repeat(t_branch[idx], m)
-            rep = np.concatenate((rep[keep], np.repeat(rep[idx], m)))
-            x = np.concatenate((x[keep], np.repeat(y, m)))
-            t_last = np.concatenate((t_last[keep], born))
-            t_branch = np.concatenate((t_branch[keep], born + rng.exponential(scale, born.size)))
-            over = np.flatnonzero(np.bincount(rep, minlength=n) > cfg.population_cap)
+            absorbed += np.bincount(r[gone], minlength=n)
+            live -= np.bincount(r, minlength=n)
+            r, y, tb = r[~gone], y[~gone], tb[~gone]
+            m = law.sample_offspring_many(r.size, streams.over(r))
+            dead += np.bincount(r[m == 0], minlength=n)
+            rep, x, t_last = np.repeat(r, m), np.repeat(y, m), np.repeat(tb, m)
+            t_branch = t_last + streams.over(rep).exponential(scale)
+            live += np.bincount(rep, minlength=n)
+            peak = max(peak, n_parked + rep.size)
+            over = np.flatnonzero(live > cap)
             if over.size:
                 truncated[over] = True
-                moving = ~truncated[rep]
-                frozen_rep = np.concatenate((frozen_rep, rep[~moving]))
-                frozen_x = np.concatenate((frozen_x, x[~moving]))
-                rep, x = rep[moving], x[moving]
-                t_last, t_branch = t_last[moving], t_branch[moving]
+                live[over] = 0
+                chunks = parked + [(rep, x, t_last, t_branch)]
+                stop = [truncated[chunk[0]] for chunk in chunks]
+                frozen_rep = np.concatenate([frozen_rep] + [c[0][f] for c, f in zip(chunks, stop)])
+                frozen_x = np.concatenate([frozen_x] + [c[1][f] for c, f in zip(chunks, stop)])
+                chunks = [tuple(a[~f] for a in c) for c, f in zip(chunks, stop)]
+                parked, (rep, x, t_last, t_branch) = chunks[:-1], chunks[-1]
+                n_parked = sum(c[0].size for c in parked)
 
-        x = motion.step_many(x, s - t_last, rng)
+        rep, x, t_last, t_branch = (np.concatenate(a) for a in zip(*parked))
+        if len(streams.generators) > 1:
+            # each block's particles in the order the block alone has them
+            order = np.argsort(rep // REPLICA_BLOCK, kind="stable")
+            rep, x, t_last, t_branch = rep[order], x[order], t_last[order], t_branch[order]
+        x = motion.step_many(x, s - t_last, streams.over(rep))
         gone = np.isnan(x)
         absorbed += np.bincount(rep[gone], minlength=n)
+        live -= np.bincount(rep[gone], minlength=n)
         order = np.flatnonzero(~gone)
         order = order[np.argsort(rep[order], kind="stable")]
         rep, x, t_branch = rep[order], x[order], t_branch[order]
@@ -152,6 +193,7 @@ def _simulate_block(motion, law: BranchingLaw, x0, cfg: SimulationConfig, n: int
             observe(j, all_rep[order], np.concatenate((x, frozen_x))[order], absorbed, dead, truncated)
         else:
             observe(j, rep, x, absorbed, dead, truncated)
+    return peak
 
 
 def _bounds(rep, n):
@@ -317,7 +359,7 @@ def run_replica(
     if rng is None:
         rng = replica_rng(cfg.seed, 0)
     observer = _SnapshotLists(motion, 1, cfg.snapshot_times)
-    _simulate_block(motion, law, x0, cfg, 1, rng, observer)
+    _simulate_group(motion, law, x0, cfg, 1, Streams((rng,)), observer)
     return observer.result()[0]
 
 
@@ -329,14 +371,24 @@ class _BlockTask:
     cfg: SimulationConfig
     observables: Optional[Observables]
 
-    def __call__(self, n, rng):
-        times = self.cfg.snapshot_times
-        if self.observables is None:
-            observer = _SnapshotLists(self.motion, n, times)
-        else:
-            observer = _Reduction(self.observables, self.motion, n, times)
-        _simulate_block(self.motion, self.law, self.x0, self.cfg, n, rng, observer)
-        return observer.result()
+    def __call__(self, sizes, rngs):
+        # Groups of consecutive blocks run in lockstep: the first group is one
+        # block, and each next one is sized from the peak frontier of the last
+        # so that a group holds about BUDGET particles.
+        times, parts = self.cfg.snapshot_times, []
+        first, width = 0, 1
+        while first < len(sizes):
+            n = sum(sizes[first:first + width])
+            if self.observables is None:
+                observer = _SnapshotLists(self.motion, n, times)
+            else:
+                observer = _Reduction(self.observables, self.motion, n, times)
+            peak = _simulate_group(self.motion, self.law, self.x0, self.cfg, n,
+                                   Streams(rngs[first:first + width]), observer)
+            parts.append(observer.result())
+            first += width
+            width = max(1, BUDGET * width // peak)
+        return self.join(parts)
 
     def join(self, parts):
         if self.observables is None:

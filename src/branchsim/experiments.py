@@ -117,16 +117,13 @@ def build_x0(motion, raw):
 
 def build_test_set(raw):
     """[a, b] -> Interval; {interval: [a, b]} -> Interval; {finite: [...]} -> FiniteSet."""
-    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(
-        isinstance(v, (int, float)) for v in raw
+    bounds = raw.get("interval") if isinstance(raw, dict) else raw
+    if isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(
+        isinstance(v, (int, float)) for v in bounds
     ):
-        return Interval(float(raw[0]), float(raw[1]))
-    if isinstance(raw, dict):
-        if "interval" in raw:
-            a, b = raw["interval"]
-            return Interval(float(a), float(b))
-        if "finite" in raw:
-            return FiniteSet(raw["finite"])
+        return Interval(float(bounds[0]), float(bounds[1]))
+    if isinstance(raw, dict) and "finite" in raw:
+        return FiniteSet(raw["finite"])
     raise ConfigurationError(f"cannot interpret test set {raw!r}")
 
 
@@ -221,6 +218,7 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         problems.append(f"out must be a directory path, got {out!r}")
+    problems.extend(_value_problems(doc))
     if problems:
         raise ConfigurationError(*problems)
     known = {
@@ -253,6 +251,97 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pairs(value) -> bool:
+    """A nonempty list of [integer, number] pairs (a pmf or increment law)."""
+    return isinstance(value, (list, tuple)) and bool(value) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2
+        and _is_integer(pair[0]) and _is_number(pair[1])
+        for pair in value
+    )
+
+
+def _is_matrix(value) -> bool:
+    return isinstance(value, (list, tuple)) and bool(value) and all(
+        isinstance(row, (list, tuple)) and len(row) == len(value) and all(map(_is_number, row))
+        for row in value
+    )
+
+
+def _is_sites(value) -> bool:
+    """A nonempty list of lattice sites, each a nonempty list of integers."""
+    return isinstance(value, (list, tuple)) and bool(value) and all(
+        isinstance(site, (list, tuple)) and bool(site) and all(map(_is_integer, site))
+        for site in value
+    )
+
+
+_NUMBER = (_is_number, "a number")
+_COUNT = (lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
+
+# values read when the spec is built or run: dotted key -> (check, what it must be)
+_VALUE_CHECKS = {
+    "motion.Q": (_is_matrix, "a square list of lists of numbers"),
+    "motion.rho": (_is_pairs, "a list of [increment, probability] pairs with integer increments"),
+    "motion.d": _COUNT,
+    "motion.gamma": _NUMBER,
+    "motion.lambda_estimate": (lambda v: v is None or _is_number(v), "a number"),
+    "motion.lambda": _NUMBER,
+    "motion.sigma2": _NUMBER,
+    "motion.c": _NUMBER,
+    "branching.pmf": (_is_pairs, "a list of [count, probability] pairs with integer counts"),
+    "branching.rate": _NUMBER,
+    "spine_paths": _COUNT,
+    "scan_ratios": (lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(_is_number, v)),
+                    "a nonempty list of numbers"),
+    "ks_threshold": _NUMBER,
+    "epsilon": _NUMBER,
+    "allow_surrogate": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+# what x0 must be, by motion kind
+_X0_CHECKS = {
+    "ergodic-ctmc": (_is_integer, "an integer state"),
+    "galton-watson": (_is_integer, "an integer state"),
+    "contact-mod-t": (_is_sites, "a nonempty list of sites, each a list of integers"),
+    "killed-ou": _NUMBER,
+    "transient-ou": _NUMBER,
+    "killed-drift-bm": _NUMBER,
+}
+
+
+def _value_problems(doc) -> list:
+    """Type problems of the spec values that are read when the spec is built
+    or run: motion parameters, the branching block, x0 and the extras."""
+    problems = []
+    blocks = {"motion": doc.get("motion"), "branching": doc.get("branching")}
+    for dotted, (check, what) in _VALUE_CHECKS.items():
+        block, _, key = dotted.rpartition(".")
+        source = blocks[block] if block else doc
+        if isinstance(source, dict) and key in source and not check(source[key]):
+            problems.append(f"{dotted} must be {what}, got {source[key]!r}")
+    motion = blocks["motion"]
+    kind = motion.get("kind") if isinstance(motion, dict) else None
+    if kind in _X0_CHECKS and "x0" in doc:
+        check, what = _X0_CHECKS[kind]
+        if not check(doc["x0"]):
+            problems.append(f"x0 must be {what} for the {kind} motion, got {doc['x0']!r}")
+    test_sets = doc.get("test_sets")
+    if test_sets is not None:
+        if not isinstance(test_sets, (list, tuple)):
+            problems.append(f"test_sets must be a list, got {test_sets!r}")
+        else:
+            for raw in test_sets:
+                try:
+                    build_test_set(raw)
+                except ConfigurationError as exc:
+                    problems.extend(exc.messages)
+    return problems
 
 
 def _integer(doc, key, default, minimum, problems):

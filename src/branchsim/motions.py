@@ -2,9 +2,12 @@
 
 Every motion exposes one exact-in-distribution sampler, ``step_many``, that
 moves an array of encoded states over an array (or scalar) of durations, with
-no Euler discretization. States are encoded as float64 values with NaN for
-absorption; ``encode`` and ``decode`` convert to and from the public state
-types, and the scalar ``step`` is a one-element call of ``step_many``.
+no Euler discretization. It draws through ``parallel.Streams``, so the engine
+can move the particles of several replica blocks in one call, each block
+drawing from its own stream; a plain Generator serves as one stream. States
+are encoded as float64 values with NaN for absorption; ``encode`` and
+``decode`` convert to and from the public state types, and the scalar
+``step`` is a one-element call of ``step_many``.
 
 * ``ErgodicCTMC``      -- finite irreducible chain, uniformization: a
                           Poisson(q dt) number of jumps of I + Q/q.
@@ -31,10 +34,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .eigen import EigenData
 from .errors import ConfigurationError
+from .parallel import Streams
 from .states import ABSORBED, canonicalize, is_absorbed
 from .testsets import FiniteSet, Interval, Predicate
 
@@ -46,6 +49,8 @@ def _norm_pdf(z):
 
 
 def _norm_cdf(z):
+    from scipy.special import erfc
+
     return 0.5 * erfc(-np.asarray(z, dtype=float) / math.sqrt(2.0))
 
 
@@ -66,7 +71,8 @@ class MotionModel:
 
     def step_many(self, xs, dt, rng):
         """Encoded states after independent moves of duration dt (scalar or an
-        array shaped like xs); NaN in and out marks absorption."""
+        array shaped like xs) of the 1-d array xs; NaN in and out marks
+        absorption. rng is a Generator or Streams over xs."""
         raise NotImplementedError
 
     def encode(self, x) -> float:
@@ -198,13 +204,14 @@ class ErgodicCTMC(MotionModel):
         # jump chain I + Q/q run at the jump times of a rate-q Poisson process
         xs = np.asarray(xs, dtype=float)
         dt = np.broadcast_to(np.asarray(dt, dtype=float), xs.shape)
+        rng = Streams.of(rng, xs.size)
         alive = ~np.isnan(xs)
         state = np.where(alive, xs, 0.0).astype(np.intp)
         jumps = np.zeros(xs.shape, dtype=np.int64)
-        jumps[alive] = rng.poisson(self._rate * dt[alive])
+        jumps[alive] = rng.at(np.flatnonzero(alive)).poisson(self._rate * dt[alive])
         active = np.flatnonzero(jumps)
         while active.size:
-            u = rng.random(active.size)
+            u = rng.at(active).random()
             state[active] = (u[:, None] >= self._jump_cdf[state[active]]).sum(axis=1)
             jumps[active] -= 1
             active = active[jumps[active] > 0]
@@ -243,19 +250,6 @@ class ErgodicCTMC(MotionModel):
 # ---------------------------------------------------------------------------
 # subcritical continuous-time Galton-Watson chain
 # ---------------------------------------------------------------------------
-
-
-def gw_event_rates(n, rho):
-    """Jump targets and rates q(n, n+y) = n * rho(y) from population n >= 1."""
-    if not n >= 1:
-        raise ConfigurationError(f"population must be >= 1, got {n}")
-    out = []
-    for y, p in rho:
-        if p <= 0:
-            continue
-        target = n + y
-        out.append((ABSORBED if target == 0 else target, n * p))
-    return out
 
 
 @dataclass(frozen=True)
@@ -302,15 +296,16 @@ class GaltonWatson(MotionModel):
         # masked vector Gillespie: the total jump rate from n is n * sum(rho) = n
         xs = np.asarray(xs, dtype=float)
         dt = np.broadcast_to(np.asarray(dt, dtype=float), xs.shape)
+        rng = Streams.of(rng, xs.size)
         alive = ~np.isnan(xs)
         n = np.where(alive, xs, 0.0).astype(np.int64)
         t = np.zeros(xs.shape)
         active = np.flatnonzero(alive)
         while active.size:
-            t[active] += rng.exponential(1.0, active.size) / n[active]
+            t[active] += rng.at(active).exponential(1.0) / n[active]
             active = active[t[active] <= dt[active]]
             n[active] += self._increments[
-                np.searchsorted(self._increment_cdf, rng.random(active.size), side="right")
+                np.searchsorted(self._increment_cdf, rng.at(active).random(), side="right")
             ]
             active = active[n[active] > 0]
         return np.where(n > 0, n, np.nan)
@@ -430,21 +425,23 @@ class ContactProcessModT(MotionModel):
         return table
 
     def step_many(self, xs, dt, rng):
-        # per-particle Gillespie over the memoized event tables
+        # per-particle Gillespie over the memoized event tables; each particle
+        # draws scalars from the generator of its block
         xs = np.asarray(xs, dtype=float)
         dt = np.broadcast_to(np.asarray(dt, dtype=float), xs.shape)
         out = xs.copy()
-        for k in np.flatnonzero(~np.isnan(xs)):
-            code, t, limit = xs[k], 0.0, dt[k]
-            while True:
-                targets, cdf, total = self._event_table(int(code))
-                t += rng.exponential(1.0 / total)
-                if t > limit:
-                    break
-                code = targets[int(np.searchsorted(cdf, rng.random(), side="right"))]
-                if math.isnan(code):
-                    break
-            out[k] = code
+        for gen, lo, hi in Streams.of(rng, xs.size).parts():
+            for k in lo + np.flatnonzero(~np.isnan(xs[lo:hi])):
+                code, t, limit = xs[k], 0.0, dt[k]
+                while True:
+                    targets, cdf, total = self._event_table(int(code))
+                    t += gen.exponential(1.0 / total)
+                    if t > limit:
+                        break
+                    code = targets[int(np.searchsorted(cdf, gen.random(), side="right"))]
+                    if math.isnan(code):
+                        break
+                out[k] = code
         return out
 
     def eigen_data(self):
@@ -484,9 +481,10 @@ class KilledOU(MotionModel):
 
     def step_many(self, xs, dt, rng):
         xs = np.asarray(xs, dtype=float)
+        rng = Streams.of(rng, xs.size)
         tau = np.expm1(2.0 * self.lam * np.asarray(dt, dtype=float)) / (2.0 * self.lam)
-        z = rng.normal(0.0, 1.0, size=xs.shape) * np.sqrt(tau) + xs
-        u = rng.random(size=xs.shape)
+        z = rng.normal(0.0, 1.0) * np.sqrt(tau) + xs
+        u = rng.random()
         with np.errstate(invalid="ignore"):
             killed = (z <= 0.0) | (u < np.exp(np.where(z > 0, -2.0 * xs * z / tau, 0.0)))
         out = np.exp(-self.lam * np.asarray(dt, dtype=float)) * z
@@ -495,6 +493,8 @@ class KilledOU(MotionModel):
 
     def survival_probability(self, x, t):
         """P_x(X_t > 0) = erf(x / sqrt(2 tau(t)))."""
+        from scipy.special import erf
+
         return float(erf(float(x) / math.sqrt(2.0 * self.tau(t))))
 
     def _transition_density(self, x, y, t):
@@ -542,6 +542,8 @@ class KilledOU(MotionModel):
     def _m2_martingale(self, x0, t):
         # killed-BM second moment at the transformed time, divided by x^2:
         # E[M_t^2] = [(x^2 + tau) erf(x / sqrt(2 tau)) + 2 x sqrt(tau) phi(x / sqrt(tau))] / x^2
+        from scipy.special import erf
+
         x = float(x0)
         tau = self.tau(t)
         s = math.sqrt(tau)
@@ -587,7 +589,8 @@ class TransientOU(MotionModel):
         xs = np.asarray(xs, dtype=float)
         dt = np.asarray(dt, dtype=float)
         var = self.sigma2 * np.expm1(2.0 * self.lam * dt) / (2.0 * self.lam)
-        return xs * np.exp(self.lam * dt) + rng.normal(0.0, 1.0, size=xs.shape) * np.sqrt(var)
+        z = Streams.of(rng, xs.size).normal(0.0, 1.0)
+        return xs * np.exp(self.lam * dt) + z * np.sqrt(var)
 
     def _transition_density(self, x, y, t):
         mean, var = self.moments(x, t)
@@ -672,8 +675,9 @@ class KilledDriftBM(MotionModel):
         # 1 - exp(-2 x y / t) as for standard BM
         xs = np.asarray(xs, dtype=float)
         dt = np.asarray(dt, dtype=float)
-        y = xs - self.c * dt + rng.normal(0.0, 1.0, size=xs.shape) * np.sqrt(dt)
-        u = rng.random(size=xs.shape)
+        rng = Streams.of(rng, xs.size)
+        y = xs - self.c * dt + rng.normal(0.0, 1.0) * np.sqrt(dt)
+        u = rng.random()
         with np.errstate(invalid="ignore"):
             killed = (y <= 0.0) | (u < np.exp(np.where(y > 0, -2.0 * xs * y / dt, 0.0)))
         out = np.where(killed, np.nan, y)

@@ -4,8 +4,12 @@ Replicas are simulated in fixed blocks of REPLICA_BLOCK consecutive indices;
 block b draws from one generator seeded by
 SeedSequence(entropy=master_seed, spawn_key=(b,)), so every replica's draws
 depend only on (master_seed, its block, its place in the block). Workers
-receive whole blocks and results are joined in replica-index order, making
-the output independent of the worker count and of scheduling.
+receive runs of whole blocks with their generators and may simulate several
+blocks together: a draw for particles of several blocks is split by block
+through Streams, each block drawing from its own generator exactly what it
+would draw if simulated alone. Results are joined in replica-index order,
+making the output independent of the worker count, of the grouping of blocks
+and of scheduling.
 """
 
 from __future__ import annotations
@@ -34,29 +38,97 @@ def replica_rng(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+class Streams:
+    """The random draws of an array of particles laid out block by block.
+
+    Elements edges[k]:edges[k+1] of the array belong to the k-th block, which
+    draws from generators[k]. A draw over the array draws each block's slice
+    from its own generator, with the method and size the block would use if
+    simulated alone, and concatenates the parts; a block with no elements
+    draws nothing, as a draw of size 0 consumes nothing. With one generator
+    every draw is a plain call of it.
+    """
+
+    __slots__ = ("generators", "edges")
+
+    def __init__(self, generators, edges=None):
+        self.generators = tuple(generators)
+        self.edges = edges
+
+    @classmethod
+    def of(cls, rng, n: int) -> "Streams":
+        """rng when it already is Streams (over n elements); otherwise one
+        plain Generator drawing for all n."""
+        return rng if isinstance(rng, Streams) else cls((rng,), (0, n))
+
+    def over(self, rep) -> "Streams":
+        """The streams of particles of replicas rep, counted from the first
+        replica of the first block and ordered block by block."""
+        if len(self.generators) == 1:
+            return Streams(self.generators, (0, len(rep)))
+        blocks = np.arange(len(self.generators) + 1)
+        return Streams(self.generators, np.searchsorted(rep // REPLICA_BLOCK, blocks))
+
+    def at(self, index) -> "Streams":
+        """The streams of the elements at the ascending positions index."""
+        if len(self.generators) == 1:
+            return Streams(self.generators, (0, len(index)))
+        return Streams(self.generators, np.searchsorted(index, self.edges))
+
+    def parts(self):
+        """(generator, lo, hi) of each block with elements."""
+        edges, gens = self.edges, self.generators
+        if len(gens) == 1:
+            return [(gens[0], 0, edges[1])] if edges[1] else []
+        full = np.flatnonzero(edges[1:] > edges[:-1])
+        return [(gens[k], lo, hi) for k, lo, hi
+                in zip(full.tolist(), edges[full].tolist(), edges[full + 1].tolist())]
+
+    def _draw(self, draw):
+        """draw(generator, lo, hi) of each block with elements, concatenated."""
+        if len(self.generators) == 1:
+            return draw(self.generators[0], 0, self.edges[1])
+        drawn = [draw(g, lo, hi) for g, lo, hi in self.parts()]
+        return np.concatenate(drawn) if drawn else np.zeros(0)
+
+    def random(self):
+        return self._draw(lambda g, lo, hi: g.random(hi - lo))
+
+    def normal(self, loc, scale):
+        return self._draw(lambda g, lo, hi: g.normal(loc, scale, hi - lo))
+
+    def exponential(self, scale):
+        return self._draw(lambda g, lo, hi: g.exponential(scale, hi - lo))
+
+    def poisson(self, lam):
+        """Counts of the rates lam, an array over the elements."""
+        return self._draw(lambda g, lo, hi: g.poisson(lam[lo:hi]))
+
+
 def _run_blocks(task, first, last, n_replicas, master_seed):
-    parts = []
-    for block in range(first, last):
-        lo = block * REPLICA_BLOCK
-        n = min(REPLICA_BLOCK, n_replicas - lo)
-        parts.append(task(n, replica_rng(master_seed, block)))
-    return task.join(parts)
+    blocks = range(first, last)
+    sizes = [min(REPLICA_BLOCK, n_replicas - b * REPLICA_BLOCK) for b in blocks]
+    return task(sizes, [replica_rng(master_seed, b) for b in blocks])
 
 
 def map_replicas(task, n_replicas: int, master_seed: int, threads: int = 1):
-    """The results task(n, rng_b) of the replica blocks b, joined in
-    replica-index order by task.join, optionally process-parallel.
+    """The result of the replica blocks b drawing from their generators rng_b,
+    joined in replica-index order, optionally process-parallel.
 
-    task(n, rng) returns the result of n replicas drawn from rng, and
-    task.join(results) joins consecutive results into one; task must be
-    picklable (a dataclass with __call__). Each worker joins its own blocks,
-    so one result per chunk of blocks crosses the process boundary, and the
-    joined result does not depend on the worker count.
+    task(sizes, rngs) returns the joined result of consecutive blocks of
+    sizes[k] replicas drawing from rngs[k], and task.join(results) joins
+    consecutive results into one; task must be picklable (a dataclass with
+    __call__). Each worker gets a run of blocks, so one result per chunk of
+    blocks crosses the process boundary, and the joined result does not
+    depend on the worker count.
     """
     n_blocks = -(-n_replicas // REPLICA_BLOCK)
     if threads <= 1 or n_blocks <= 1:
         return _run_blocks(task, 0, n_blocks, n_replicas, master_seed)
-    n_chunks = min(n_blocks, 4 * threads)
+    # two runs of blocks per worker: each run starts its lockstep groups at one
+    # block, so more runs cost more sweeps, and two still let a worker that
+    # drew light blocks take over the other's second run
+    n_chunks = min(n_blocks, 2 * threads)
     bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int)
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [

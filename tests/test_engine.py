@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from branchsim import (
     FiniteSet,
     GaltonWatson,
     Interval,
+    KilledDriftBM,
     KilledOU,
     Observables,
     SimulationConfig,
@@ -22,6 +24,8 @@ from branchsim import (
     run_replicas,
     survival_indicator,
 )
+from branchsim import engine
+from branchsim.engine import ReplicaArrays
 from branchsim.experiments import DEFAULT_TEST_SETS
 from branchsim.parallel import replica_rng
 
@@ -211,3 +215,52 @@ def test_reducers_equal_the_snapshot_observer(case, threads):
     if cap:
         assert 0 < arrays.truncated[:, -1].sum() < 150
         assert (arrays.size[arrays.truncated[:, 0], 0] > cap).all()
+
+
+GROUPING_CASES = {
+    **REDUCER_CASES,
+    "killed-drift-bm": (KilledDriftBM(1.0), 1.0, (Interval(0.0, 1.0),), None),
+}
+
+
+def _same_replicas(a, b):
+    if isinstance(a, list):
+        return a == b
+    return all(
+        (x is None and y is None) or np.array_equal(x, y)
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(ReplicaArrays))
+    )
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("observer", ("snapshots", "arrays"))
+@pytest.mark.parametrize("case", sorted(GROUPING_CASES))
+def test_lockstep_groups_do_not_change_replicas(monkeypatch, case, observer, threads):
+    # 600 replicas are 10 blocks: by default later groups hold several blocks
+    # in lockstep (also in the two-block chunks of 2 workers); with BUDGET 0
+    # every group is one block, drawing alone from its stream
+    motion, x0, sets, cap = GROUPING_CASES[case]
+    law = binary_law(0.2, 2.0)
+    kwargs = {"population_cap": cap} if cap else {}
+    cfg = SimulationConfig(horizon=1.5, snapshot_times=(0.5, 1.0, 1.5), seed=23, **kwargs)
+    eigen = motion.eigen_data()
+    observables = None
+    if observer == "arrays":
+        observables = Observables(sets, sum_h=eigen, min_h=eigen, pool=motion.codes_are_values)
+    widths = []
+    simulate = engine._simulate_group
+
+    def spy(*args):
+        widths.append(len(args[5].generators))
+        return simulate(*args)
+
+    monkeypatch.setattr(engine, "_simulate_group", spy)
+    grouped = run_replicas(motion, law, x0, cfg, 600, threads, observables)
+    monkeypatch.setattr(engine, "BUDGET", 0)
+    alone = run_replicas(motion, law, x0, cfg, 600, threads, observables)
+    assert len(grouped) == len(alone) == 600
+    assert _same_replicas(grouped, alone)
+    if threads == 1:
+        assert max(widths[: len(widths) - 10]) > 1 and widths[-10:] == [1] * 10
+    if cap:
+        assert any(r[-1].truncated for r in grouped)

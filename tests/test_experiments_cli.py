@@ -188,3 +188,34 @@ def test_cli_simulate_without_out_writes_no_files(tmp_path, monkeypatch, capsys)
     assert main(["simulate", path]) == 0
     assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.yaml"]
+
+
+KILLED_OU_DOC = {**BASE_DOC, "experiment": "many-to-two-check",
+                 "motion": {"kind": "killed-ou", "lambda": 1.0}, "x0": 1.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, problem",
+    [
+        (["--set", "x0=abc"], "x0 must be a number for the killed-ou motion, got 'abc'"),
+        (["--set", "spine_paths=abc"], "spine_paths must be an integer >= 1, got 'abc'"),
+        (["--set", "motion.lambda=abc"], "motion.lambda must be a number, got 'abc'"),
+    ],
+    ids=["x0-abc", "spine-paths-abc", "motion-lambda-abc"],
+)
+def test_cli_bad_build_value_exits_2(tmp_path, capsys, overrides, problem):
+    path = write_spec(tmp_path, KILLED_OU_DOC)
+    assert main(["simulate", path] + overrides) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
+def test_cli_lists_every_bad_build_value(tmp_path, capsys):
+    path = write_spec(tmp_path, {**KILLED_OU_DOC, "test_sets": [{"interval": ["a", 1]}]})
+    overrides = ["x0=abc", "spine_paths=abc", "motion.lambda=abc", "replicas=abc",
+                 "branching.pmf=[[0.5, 1]]"]
+    assert main(["simulate", path] + [arg for o in overrides for arg in ("--set", o)]) == 2
+    err = capsys.readouterr().err
+    for key in ("x0", "spine_paths", "motion.lambda", "replicas", "branching.pmf"):
+        assert f"{key} must be" in err
+    assert "cannot interpret test set" in err

@@ -17,7 +17,6 @@ from branchsim import (
     TransientOU,
     canonicalize,
     contact_event_rates,
-    gw_event_rates,
     is_absorbed,
 )
 
@@ -110,12 +109,6 @@ def test_gw_eigen_parameters():
     assert gw.eigen_data().h(7) == 7.0
     # 1 + sigma^2 (e^{lam t} - 1) / (lam x) at x=2, t=1.3
     assert gw.eigen_data().m2_martingale(2, 1.3) == pytest.approx(1.7423252166644296)
-
-
-def test_gw_event_rates():
-    rho = ((-1, 0.6), (1, 0.4))
-    assert gw_event_rates(1, rho) == [(ABSORBED, 0.6), (2, 0.4)]
-    assert gw_event_rates(5, rho) == [(4, 3.0), (6, 2.0)]
 
 
 def test_gw_martingale_is_mean_one():
