@@ -203,6 +203,9 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
         for key in ("pmf", "rate"):
             if key not in branching:
                 problems.append(f"branching block is missing {key!r}")
+        for key in branching:
+            if key not in ("pmf", "rate"):
+                problems.append(f"unknown key {key!r} in the branching block (keys: pmf, rate)")
     else:
         problems.append("branching must be a mapping")
     times = doc.get("snapshot_times", [])
@@ -219,21 +222,16 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
     if out is not None and not isinstance(out, str):
         problems.append(f"out must be a directory path, got {out!r}")
     problems.extend(_value_problems(doc))
+    if kind in _EXTRAS:
+        reads = _EXTRAS[kind]
+        where = f" for experiment {kind} (its extras: {', '.join(reads) or 'none'})"
+    else:  # only a key that no experiment reads is known to be wrong
+        reads, where = {key for extras in _EXTRAS.values() for key in extras}, ""
+    problems.extend(f"unknown key {key!r}{where}" for key in doc
+                    if key not in _SPEC_KEYS and key not in reads)
     if problems:
         raise ConfigurationError(*problems)
-    known = {
-        "experiment",
-        "motion",
-        "branching",
-        "x0",
-        "horizon",
-        "snapshot_times",
-        "replicas",
-        "seed",
-        "threads",
-        "out",
-    }
-    extras = {k: v for k, v in doc.items() if k not in known}
+    extras = {k: v for k, v in doc.items() if k not in _SPEC_KEYS}
     return ExperimentSpec(
         kind=kind,
         motion_block=doc["motion"],
@@ -247,6 +245,22 @@ def parse_spec(document: dict, overrides: dict = None) -> ExperimentSpec:
         out=out,
         extras=extras,
     )
+
+
+# keys every experiment reads, and the extras that each one's runner reads;
+# parse_spec rejects any other key
+_SPEC_KEYS = ("experiment", "motion", "branching", "x0", "horizon", "snapshot_times", "replicas",
+              "seed", "threads", "out")
+_EXTRAS = {
+    "many-to-one-check": ("test_sets", "spine_paths"),
+    "many-to-two-check": ("test_sets", "spine_paths"),
+    "martingale-curve": ("allow_surrogate",),
+    "phi": (),
+    "l2-threshold-scan": ("scan_ratios",),
+    "qsd-fit": ("ks_threshold",),
+    "eta-sigma": ("epsilon", "allow_surrogate"),
+    "min-h-diagnostic": (),
+}
 
 
 def _is_number(value) -> bool:
@@ -417,9 +431,12 @@ def _test_sets(spec):
     return DEFAULT_TEST_SETS[spec.motion_block["kind"]]
 
 
+def _config(spec):
+    return SimulationConfig(spec.horizon, spec.snapshot_times, seed=spec.seed)
+
+
 def _engine_replicas(spec, motion, law, x0, observables):
-    cfg = SimulationConfig(spec.horizon, spec.snapshot_times, seed=spec.seed)
-    return run_replicas(motion, law, x0, cfg, spec.replicas, spec.threads, observables)
+    return run_replicas(motion, law, x0, _config(spec), spec.replicas, spec.threads, observables)
 
 
 def _joint_check(name, a, b, n_se=4.0):
@@ -429,35 +446,49 @@ def _joint_check(name, a, b, n_se=4.0):
     return (name, passed, f"|{a.value:.5g} - {b.value:.5g}| = {diff:.3g} vs {n_se} SE = {n_se * joint:.3g}")
 
 
-def run_many_to_one_check(spec, motion, law, x0):
+def count_moments(motion, law, x0, cfg, n_replicas, threads, sets, power):
+    """Engine estimates of E[xi_t(B)^power], indexed [set][snapshot time].
+    The ReplicaArrays behind them are dropped on return."""
+    replicas = run_replicas(motion, law, x0, cfg, n_replicas, threads, Observables(test_sets=sets))
+    return [
+        [replica_statistic(replicas.counts[:, j, i] ** power, replicas.truncated[:, i])
+         for i in range(len(cfg.snapshot_times))]
+        for j in range(len(sets))
+    ]
+
+
+def spine_moments(motion, law, x0, sets, times, n_paths, seed, power):
+    """Spine estimates of E[xi_t(B)^power], indexed [snapshot time][set]: one
+    spine sample per time serves every set."""
+    if power == 1:
+        return [many_to_one(motion, law, x0, sets, t, n_paths, seed=seed) for t in times]
+    pairs = [(B, B) for B in sets]
+    return [many_to_two(motion, law, x0, pairs, t, n_paths, seed=seed) for t in times]
+
+
+def _moment_check(spec, motion, law, x0, power, moment, check):
+    """Engine against spine estimates of E[xi_t(B)^power]: rows and checks set
+    by set and, within a set, time by time."""
     sets = _test_sets(spec)
     n_spine = int(spec.extras.get("spine_paths", 100_000))
-    replicas = _engine_replicas(spec, motion, law, x0, Observables(test_sets=sets))
+    engine = count_moments(motion, law, x0, _config(spec), spec.replicas, spec.threads, sets, power)
+    spine = spine_moments(motion, law, x0, sets, spec.snapshot_times, n_spine, spec.seed + 1, power)
     rows, checks = [], []
-    for j, B in enumerate(sets):
+    for j, by_time in enumerate(engine):
         for i, t in enumerate(spec.snapshot_times):
-            eng = replica_statistic(replicas.counts[:, j, i], replicas.truncated[:, i])
-            spn = many_to_one(motion, law, x0, B, t, n_spine, seed=spec.seed + 1)
-            rows.append(_row(t, f"engine_mean[B{j}]", eng))
-            rows.append(_row(t, f"spine_mean[B{j}]", spn))
-            checks.append(_joint_check(f"many-to-one B{j} t={t}", eng, spn))
+            eng, spn = by_time[i], spine[i][j]
+            rows.append(_row(t, f"engine_{moment}[B{j}]", eng))
+            rows.append(_row(t, f"spine_{moment}[B{j}]", spn))
+            checks.append(_joint_check(f"{check} B{j} t={t}", eng, spn))
     return rows, checks
+
+
+def run_many_to_one_check(spec, motion, law, x0):
+    return _moment_check(spec, motion, law, x0, 1, "mean", "many-to-one")
 
 
 def run_many_to_two_check(spec, motion, law, x0):
-    sets = _test_sets(spec)
-    n_spine = int(spec.extras.get("spine_paths", 100_000))
-    replicas = _engine_replicas(spec, motion, law, x0, Observables(test_sets=sets))
-    rows, checks = [], []
-    for j, B in enumerate(sets):
-        for i, t in enumerate(spec.snapshot_times):
-            count = replicas.counts[:, j, i]
-            eng = replica_statistic(count * count, replicas.truncated[:, i])
-            spn = many_to_two(motion, law, x0, B, B, t, n_spine, seed=spec.seed + 1)
-            rows.append(_row(t, f"engine_second_moment[B{j}]", eng))
-            rows.append(_row(t, f"spine_second_moment[B{j}]", spn))
-            checks.append(_joint_check(f"many-to-two B{j} t={t}", eng, spn))
-    return rows, checks
+    return _moment_check(spec, motion, law, x0, 2, "second_moment", "many-to-two")
 
 
 def run_martingale_curve(spec, motion, law, x0):

@@ -480,16 +480,30 @@ class KilledOU(MotionModel):
             raise ConfigurationError(f"state must be a real > 0, got {x!r}")
 
     def step_many(self, xs, dt, rng):
+        # in-place arithmetic, in the order of z = N(0, 1) sqrt(tau) + x,
+        # u < exp(((-2 x) z) / tau) and e^{-lam dt} z: a particle costs a few
+        # arrays rather than one per operation, and every bit is kept
         xs = np.asarray(xs, dtype=float)
+        dt = np.asarray(dt, dtype=float)
         rng = Streams.of(rng, xs.size)
-        tau = np.expm1(2.0 * self.lam * np.asarray(dt, dtype=float)) / (2.0 * self.lam)
-        z = rng.normal(0.0, 1.0) * np.sqrt(tau) + xs
+        tau = np.expm1(2.0 * self.lam * dt)
+        tau /= 2.0 * self.lam
+        z = rng.normal(0.0, 1.0)
+        z *= np.sqrt(tau)
+        z += xs  # NaN for an absorbed particle, which is then killed
         u = rng.random()
+        killed = ~(z > 0.0)
         with np.errstate(invalid="ignore"):
-            killed = (z <= 0.0) | (u < np.exp(np.where(z > 0, -2.0 * xs * z / tau, 0.0)))
-        out = np.exp(-self.lam * np.asarray(dt, dtype=float)) * z
-        out[killed | np.isnan(xs)] = np.nan
-        return out
+            a = -2.0 * xs
+            a *= z
+            a /= tau
+        a[killed] = 0.0
+        np.exp(a, out=a)
+        killed |= u < a
+        del u, a, tau
+        z *= np.exp(-self.lam * dt)
+        z[killed] = np.nan
+        return z
 
     def survival_probability(self, x, t):
         """P_x(X_t > 0) = erf(x / sqrt(2 tau(t)))."""

@@ -59,19 +59,24 @@ def many_to_one(
     motion: MotionModel,
     law: BranchingLaw,
     x0,
-    f,
+    fs,
     t: float,
     n_paths: int,
     seed: int = 0,
-) -> EstimateWithError:
-    """e^{r(m1-1)t} x Monte Carlo mean of f(X_t) over single paths."""
+) -> list:
+    """e^{r(m1-1)t} x Monte Carlo mean of f(X_t) over single paths, one
+    EstimateWithError per f in fs. Every f is evaluated on the same paths."""
     if not t > 0:
         raise ConfigurationError(f"t must be > 0, got {t}")
     rng = replica_rng(seed, 0)
     values = _terminal_values(motion, x0, t, n_paths, rng)
-    mean, se = _mean_se(_evaluate(motion, f, values, ~np.isnan(values)))
+    alive = ~np.isnan(values)
     scale = math.exp(law.growth_rate * t)
-    return EstimateWithError(scale * mean, scale * se, n_paths, 0)
+    estimates = []
+    for f in fs:
+        mean, se = _mean_se(_evaluate(motion, f, values, alive))
+        estimates.append(EstimateWithError(scale * mean, scale * se, n_paths, 0))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -114,55 +119,60 @@ def sample_two_spine(motion, law: BranchingLaw, x0, t: float, rng) -> TwoSpinePa
     return TwoSpinePath(float(E[0]), common, terminal_1, terminal_2)
 
 
-def _two_spine_values(motion, law, x0, f, g, t, n, rng):
-    """Weighted f(X1_t) g(X2_t) of n two-spine paths."""
+def _two_spine_values(motion, law, x0, pairs, t, rng, out):
+    """Weighted f(X1_t) g(X2_t) of out.shape[1] two-spine paths into out, one
+    row per (f, g) in pairs."""
     weight_coeff = (law.var_m + (law.m1 - 1.0) ** 2) * law.rate_r
-    E, _, y1, y2 = _two_spine_states(motion, law, x0, t, n, rng)
-    f1 = _evaluate(motion, f, y1, ~np.isnan(y1))
-    f2 = _evaluate(motion, g, y2, (f1 != 0) & ~np.isnan(y2))
-    return np.exp(weight_coeff * np.minimum(E, t)) * f1 * f2
+    E, _, y1, y2 = _two_spine_states(motion, law, x0, t, out.shape[1], rng)
+    weight = np.exp(weight_coeff * np.minimum(E, t))
+    alive1, alive2 = ~np.isnan(y1), ~np.isnan(y2)
+    for row, (f, g) in zip(out, pairs):
+        f1 = _evaluate(motion, f, y1, alive1)
+        np.multiply(weight, f1, out=row)
+        row *= _evaluate(motion, g, y2, (f1 != 0) & alive2)
 
 
 def many_to_two(
     motion: MotionModel,
     law: BranchingLaw,
     x0,
-    f,
-    g,
+    pairs,
     t: float,
     n_paths: int,
     seed: int = 0,
-) -> EstimateWithError:
-    """Two-spine estimate of E_x[sum_{u,v} f(u_t) g(v_t)]."""
+) -> list:
+    """Two-spine estimates of E_x[sum_{u,v} f(u_t) g(v_t)], one
+    EstimateWithError per (f, g) in pairs. Every pair is evaluated on the
+    same paths."""
     if not t > 0:
         raise ConfigurationError(f"t must be > 0, got {t}")
     rng = replica_rng(seed, 0)
-    vals = np.concatenate(
-        [
-            _two_spine_values(motion, law, x0, f, g, t, min(PATH_CHUNK, n_paths - lo), rng)
-            for lo in range(0, n_paths, PATH_CHUNK)
-        ]
-    )
-    mean, se = _mean_se(vals)
-    cv = float(vals.std(ddof=1)) / abs(mean) if mean != 0 else math.inf
-    if mean == 0:
-        warnings.warn(
-            f"no two-spine path contributed (all {n_paths} weights are 0), so 0 +- 0 "
-            "is not an estimate: either f or g vanishes on every reachable state, "
-            "or contributing paths are too rare because the weights are "
-            "heavy-tailed near/below the L2 threshold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    elif cv > 10.0:
-        warnings.warn(
-            f"two-spine weights are heavy-tailed (CV = {cv:.1f} > 10); "
-            "estimate may be unreliable near/below the L2 threshold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    vals = np.empty((len(pairs), n_paths))
+    for lo in range(0, n_paths, PATH_CHUNK):
+        _two_spine_values(motion, law, x0, pairs, t, rng, vals[:, lo:lo + PATH_CHUNK])
     scale = math.exp(2.0 * law.growth_rate * t)
-    return EstimateWithError(scale * mean, scale * se, n_paths, 0)
+    estimates = []
+    for row in vals:
+        mean, se = _mean_se(row)
+        cv = float(row.std(ddof=1)) / abs(mean) if mean != 0 else math.inf
+        if mean == 0:
+            warnings.warn(
+                f"no two-spine path contributed (all {n_paths} weights are 0), so 0 +- 0 "
+                "is not an estimate: either f or g vanishes on every reachable state, "
+                "or contributing paths are too rare because the weights are "
+                "heavy-tailed near/below the L2 threshold",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        elif cv > 10.0:
+            warnings.warn(
+                f"two-spine weights are heavy-tailed (CV = {cv:.1f} > 10); "
+                "estimate may be unreliable near/below the L2 threshold",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        estimates.append(EstimateWithError(scale * mean, scale * se, n_paths, 0))
+    return estimates
 
 
 def doob_weighted_expectation(

@@ -21,17 +21,8 @@ from .engine import SimulationConfig, run_replicas
 from .errors import ConfigurationError
 from .fixedpoint import pgf_extinction, sigma_estimate, wilson_se
 from .motions import ErgodicCTMC, GaltonWatson, KilledDriftBM, KilledOU, TransientOU
-from .spine import many_to_one, many_to_two
-from .stats import (
-    ks_distance,
-    malthusian_D,
-    martingale_curve,
-    min_h_statistic,
-    phi_quadrature,
-    snapshot_statistic,
-)
-from .testsets import count_in
-from .experiments import DEFAULT_TEST_SETS, qsd_cdf
+from .stats import ks_distance, martingale_curve, min_h_statistic, phi_quadrature
+from .experiments import DEFAULT_TEST_SETS, count_moments, qsd_cdf, spine_moments
 
 SEED = 20240915
 
@@ -74,43 +65,34 @@ def _joint(name, criterion, a_val, a_se, b_val, b_se, n_se=4.0):
     )
 
 
-def criterion_1_many_to_one(scale=1.0, threads=1):
-    """Engine E[xi_t(B)] vs single-path estimate, 3 sets x 3 times x 5 motions."""
+def _moment_criterion(criterion, power, scale, threads):
+    """Engine E[xi_t(B)^power] vs spine estimate, 3 sets x 3 times x 5 motions."""
     out = []
     times = (0.5, 1.0, 2.0)
     for kind, (motion, law, x0) in _battery().items():
+        sets = DEFAULT_TEST_SETS[kind]
         cfg = SimulationConfig(times[-1], times, seed=SEED)
-        replicas = run_replicas(motion, law, x0, cfg, _scaled(10_000, scale), threads)
-        for j, B in enumerate(DEFAULT_TEST_SETS[kind]):
+        engine = count_moments(motion, law, x0, cfg, _scaled(10_000, scale), threads, sets, power)
+        spine = spine_moments(motion, law, x0, sets, times, _scaled(100_000, scale), SEED + 1,
+                              power)
+        for j in range(len(sets)):
             for i, t in enumerate(times):
-                eng = snapshot_statistic(replicas, i, lambda s: count_in(s.live_states, B))
-                spn = many_to_one(motion, law, x0, B, t, _scaled(100_000, scale), seed=SEED + 1)
+                eng, spn = engine[j][i], spine[i][j]
                 out.append(
-                    _joint(f"{kind} B{j} t={t}", "many-to-one", eng.value, eng.std_error,
+                    _joint(f"{kind} B{j} t={t}", criterion, eng.value, eng.std_error,
                            spn.value, spn.std_error)
                 )
     return out
+
+
+def criterion_1_many_to_one(scale=1.0, threads=1):
+    """Engine E[xi_t(B)] vs single-path estimate, 3 sets x 3 times x 5 motions."""
+    return _moment_criterion("many-to-one", 1, scale, threads)
 
 
 def criterion_2_many_to_two(scale=1.0, threads=1):
     """Engine E[xi_t(B)^2] vs two-spine estimate, same battery."""
-    out = []
-    times = (0.5, 1.0, 2.0)
-    for kind, (motion, law, x0) in _battery().items():
-        cfg = SimulationConfig(times[-1], times, seed=SEED)
-        replicas = run_replicas(motion, law, x0, cfg, _scaled(10_000, scale), threads)
-        for j, B in enumerate(DEFAULT_TEST_SETS[kind]):
-            for i, t in enumerate(times):
-                eng = snapshot_statistic(
-                    replicas, i, lambda s: count_in(s.live_states, B) ** 2
-                )
-                spn = many_to_two(motion, law, x0, B, B, t, _scaled(100_000, scale),
-                                  seed=SEED + 1)
-                out.append(
-                    _joint(f"{kind} B{j} t={t}", "many-to-two", eng.value, eng.std_error,
-                           spn.value, spn.std_error)
-                )
-    return out
+    return _moment_criterion("many-to-two", 2, scale, threads)
 
 
 def criterion_3_martingale_mean(scale=1.0, threads=1):

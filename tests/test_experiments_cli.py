@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -219,3 +222,33 @@ def test_cli_lists_every_bad_build_value(tmp_path, capsys):
     for key in ("x0", "spine_paths", "motion.lambda", "replicas", "branching.pmf"):
         assert f"{key} must be" in err
     assert "cannot interpret test set" in err
+
+
+def test_cli_unknown_key_exits_2(tmp_path, capsys):
+    path = write_spec(tmp_path, KILLED_OU_DOC)
+    assert main(["simulate", path, "--set", "spine_path=7"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'spine_path' for experiment many-to-two-check" in err
+    assert "Traceback" not in err
+
+
+def test_cli_lists_every_unknown_key(tmp_path, capsys):
+    # epsilon is an extra of eta-sigma only; rates is no key of the branching block
+    path = write_spec(tmp_path, KILLED_OU_DOC)
+    overrides = ["spine_path=7", "replica=3", "epsilon=0.1", "branching.rates=1"]
+    assert main(["simulate", path] + [arg for o in overrides for arg in ("--set", o)]) == 2
+    err = capsys.readouterr().err
+    for key in ("spine_path", "replica", "epsilon"):
+        assert f"unknown key {key!r} for experiment many-to-two-check" in err
+    assert "unknown key 'rates' in the branching block" in err
+
+
+def test_benchmark_workload_specs_use_known_keys(monkeypatch):
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+    workloads = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+    module_spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for quick in (False, True):
+            parse_spec(workload.spec(1, 0, quick))

@@ -223,6 +223,35 @@ def test_killed_ou_sampler_matches_density():
     assert grid_ks(alive, cdf, 0.01, 3.0) < 0.01
 
 
+def _killed_ou_step_many_reference(lam, xs, dt, rng):
+    """KilledOU.step_many as one expression per quantity: the in-place sampler
+    must give the same bits on the same draws."""
+    xs = np.asarray(xs, dtype=float)
+    tau = np.expm1(2.0 * lam * np.asarray(dt, dtype=float)) / (2.0 * lam)
+    z = rng.normal(0.0, 1.0, xs.size) * np.sqrt(tau) + xs
+    u = rng.random(xs.size)
+    with np.errstate(invalid="ignore"):
+        killed = (z <= 0.0) | (u < np.exp(np.where(z > 0, -2.0 * xs * z / tau, 0.0)))
+    out = np.exp(-lam * np.asarray(dt, dtype=float)) * z
+    out[killed | np.isnan(xs)] = np.nan
+    return out
+
+
+def test_killed_ou_step_many_matches_reference_bits():
+    xs = np.concatenate([RNG(7).exponential(1.0, 5000), [np.nan, 1e-9, 40.0, np.nan]])
+    dts = {
+        "scalar": 0.37,
+        "array": RNG(8).exponential(0.5, xs.size) + 1e-12,
+    }
+    for lam in (1.0, 0.3):
+        for name, dt in dts.items():
+            got = KilledOU(lam).step_many(xs, dt, RNG(9))
+            want = _killed_ou_step_many_reference(lam, xs, dt, RNG(9))
+            assert got.tobytes() == want.tobytes(), (lam, name)
+            assert np.isnan(got[np.isnan(xs)]).all()
+            assert 0 < np.isnan(got).sum() < xs.size
+
+
 def test_killed_ou_m2_closed_form_vs_quadrature():
     m = KilledOU(1.0)
     eig = m.eigen_data()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from branchsim import (
     DiagnosticError,
     ErgodicCTMC,
     FiniteSet,
+    GaltonWatson,
     Interval,
     KilledOU,
     SimulationConfig,
@@ -28,7 +30,7 @@ def test_many_to_one_constant_f_has_zero_variance():
     # for a conservative motion and f = 1 the estimator is deterministic
     m = ErgodicCTMC.default_example()
     law = binary_law(0.2, 1.0)
-    est = many_to_one(m, law, 0, lambda s: 1.0, 1.7, n_paths=100, seed=0)
+    [est] = many_to_one(m, law, 0, [lambda s: 1.0], 1.7, n_paths=100, seed=0)
     assert est.value == pytest.approx(math.exp(0.6 * 1.7))
     assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
@@ -38,7 +40,7 @@ def test_many_to_one_matches_engine_mean():
     law = binary_law(0.25, 1.2)
     B = FiniteSet((1, 3))
     t = 1.5
-    spine = many_to_one(m, law, 0, B, t, n_paths=30_000, seed=1)
+    [spine] = many_to_one(m, law, 0, [B], t, n_paths=30_000, seed=1)
     cfg = SimulationConfig(horizon=t, snapshot_times=(t,), seed=2)
     reps = run_replicas(m, law, 0, cfg, n_replicas=3000, threads=1)
     counts = np.array(
@@ -82,7 +84,7 @@ def test_many_to_two_short_time_limit():
     m = ErgodicCTMC.default_example()
     law = binary_law(0.2, 1.0)
     f = FiniteSet((0,))
-    est = many_to_two(m, law, 0, f, f, 1e-6, n_paths=200, seed=0)
+    [est] = many_to_two(m, law, 0, [(f, f)], 1e-6, n_paths=200, seed=0)
     assert est.value == pytest.approx(1.0, rel=1e-3)
 
 
@@ -91,7 +93,7 @@ def test_many_to_two_matches_engine_second_moment():
     law = binary_law(0.25, 1.2)
     B = FiniteSet((1, 3))
     t = 1.5
-    spine = many_to_two(m, law, 0, B, B, t, n_paths=60_000, seed=3)
+    [spine] = many_to_two(m, law, 0, [(B, B)], t, n_paths=60_000, seed=3)
     cfg = SimulationConfig(horizon=t, snapshot_times=(t,), seed=6)
     reps = run_replicas(m, law, 0, cfg, n_replicas=4000, threads=1)
     sq = np.array(
@@ -107,7 +109,7 @@ def test_many_to_two_warns_on_heavy_tails():
     law = binary_law(0.2, 1.0)  # growth 0.6 < 2
     B = Interval(0.0, math.inf)
     with pytest.warns(RuntimeWarning, match="heavy-tailed"):
-        many_to_two(m, law, 0.5, B, B, 4.0, n_paths=2000, seed=1)
+        many_to_two(m, law, 0.5, [(B, B)], 4.0, n_paths=2000, seed=1)
 
 
 def test_many_to_two_warns_when_no_path_contributes():
@@ -116,17 +118,56 @@ def test_many_to_two_warns_when_no_path_contributes():
     law = binary_law(0.2, 1.0)
     B = Interval(-math.inf, -1.0)
     with pytest.warns(RuntimeWarning, match="no two-spine path contributed"):
-        est = many_to_two(m, law, 0.5, B, B, 1.0, n_paths=200, seed=0)
+        [est] = many_to_two(m, law, 0.5, [(B, B)], 1.0, n_paths=200, seed=0)
     assert est.value == 0.0
+
+
+@pytest.mark.parametrize(
+    "motion, x0, fs",
+    [
+        (KilledOU(1.0), 1.0, (Interval(0.0, math.inf), Interval(1.0, 2.0), lambda s: min(s, 2.0))),
+        (GaltonWatson(((-1, 0.6), (1, 0.4))), 2,
+         (FiniteSet((1,)), FiniteSet((1, 2, 3)), lambda s: float(s))),
+        (ErgodicCTMC.default_example(), 0, (FiniteSet((0,)), FiniteSet((1, 2)), lambda s: 1.0 + s)),
+    ],
+    ids=["killed-ou", "galton-watson", "ergodic-ctmc"],
+)
+def test_entries_share_paths_and_equal_one_entry_calls(motion, x0, fs):
+    # the draws do not depend on the entries: each entry of one call is the
+    # one-entry call of the same seed, bit for bit
+    law = binary_law(0.2, 2.0)
+    pairs = [(fs[0], fs[1]), (fs[1], fs[1]), (fs[2], fs[0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        one = many_to_one(motion, law, x0, fs, 1.0, n_paths=40_000, seed=5)
+        two = many_to_two(motion, law, x0, pairs, 1.0, n_paths=40_000, seed=5)
+        assert one == [many_to_one(motion, law, x0, [f], 1.0, n_paths=40_000, seed=5)[0]
+                       for f in fs]
+        assert two == [many_to_two(motion, law, x0, [p], 1.0, n_paths=40_000, seed=5)[0]
+                       for p in pairs]
+    assert all(e.value > 0 for e in one + two)
+
+
+def test_each_entry_warns_once_from_the_callers_line():
+    m = KilledOU(1.0)
+    law = binary_law(0.2, 1.0)  # growth 0.6 < 2: heavy-tailed weights
+    heavy, empty = Interval(0.0, math.inf), Interval(-math.inf, -1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        many_to_two(m, law, 1.0, [(heavy, heavy), (empty, empty)], 3.0, n_paths=20_000, seed=1)
+    messages = [str(w.message) for w in caught]
+    assert sum("heavy-tailed (CV" in msg for msg in messages) == 1
+    assert sum("no two-spine path contributed" in msg for msg in messages) == 1
+    assert len(caught) == 2 and all(w.filename == __file__ for w in caught)
 
 
 def test_time_must_be_positive():
     m = ErgodicCTMC.default_example()
     law = binary_law(0.2, 1.0)
     with pytest.raises(ConfigurationError):
-        many_to_one(m, law, 0, lambda s: 1.0, 0.0, 10)
+        many_to_one(m, law, 0, [lambda s: 1.0], 0.0, 10)
     with pytest.raises(ConfigurationError):
-        many_to_two(m, law, 0, lambda s: 1.0, lambda s: 1.0, -1.0, 10)
+        many_to_two(m, law, 0, [(lambda s: 1.0, lambda s: 1.0)], -1.0, 10)
 
 
 def test_doob_constant_f_recovers_mean_one():
@@ -166,8 +207,8 @@ def test_sampler_errors_propagate():
     law = binary_law(0.2, 1.0)
     B = Interval(0.0, math.inf)
     with pytest.raises(TypeError, match="sampler bug"):
-        many_to_one(m, law, 1.0, B, 1.0, n_paths=10)
+        many_to_one(m, law, 1.0, [B], 1.0, n_paths=10)
     with pytest.raises(TypeError, match="sampler bug"):
-        many_to_two(m, law, 1.0, B, B, 1.0, n_paths=10)
+        many_to_two(m, law, 1.0, [(B, B)], 1.0, n_paths=10)
     with pytest.raises(TypeError, match="sampler bug"):
         doob_weighted_expectation(m, m.eigen_data(), 1.0, B, 1.0, n_paths=10)

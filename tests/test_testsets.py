@@ -114,8 +114,9 @@ def test_array_membership_drives_the_spine_estimators_bit_identically():
     ]
     for motion, x0, B in cases:
         per_state = Predicate(B.contains)
-        one = [many_to_one(motion, law, x0, f, 1.0, n_paths=4000, seed=3) for f in (B, per_state)]
-        two = [many_to_two(motion, law, x0, f, f, 1.0, n_paths=4000, seed=3)
+        one = [many_to_one(motion, law, x0, [f], 1.0, n_paths=4000, seed=3)[0]
+               for f in (B, per_state)]
+        two = [many_to_two(motion, law, x0, [(f, f)], 1.0, n_paths=4000, seed=3)[0]
                for f in (B, per_state)]
         assert one[0] == one[1] and one[0].value > 0
         assert two[0] == two[1] and two[0].value > 0
