@@ -65,8 +65,6 @@ def _cmd_simulate(args) -> int:
 
     spec = load_spec(args.spec_file, _parse_overrides(args.overrides))
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         from dataclasses import replace
 
         spec = replace(spec, threads=args.threads)
@@ -89,6 +87,8 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_verify(args)

@@ -397,12 +397,13 @@ class _BlockTask:
 
 
 def run_replicas(
-    motion, law, x0, cfg: SimulationConfig, n_replicas: int, threads: int = 1,
+    motion, law, x0, cfg: SimulationConfig, n_replicas: int, threads=1,
     observables: Observables = None,
 ):
-    """n independent replicas, in replica-index order regardless of threads:
-    one PopulationSnapshot list per replica, or with observables their
-    ReplicaArrays. The draws do not depend on observables."""
+    """n independent replicas, in replica-index order regardless of threads
+    (a worker count or a run's parallel.WorkerPool): one PopulationSnapshot
+    list per replica, or with observables their ReplicaArrays. The draws do
+    not depend on observables."""
     _check_start(motion, x0)
     if observables is not None and observables.pool and not motion.codes_are_values:
         raise ConfigurationError("pooled live values need a motion whose codes are its states")

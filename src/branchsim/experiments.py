@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,7 @@ from .motions import (
     KilledOU,
     TransientOU,
 )
+from .parallel import WorkerPool
 from .spine import many_to_one, many_to_two
 from .states import canonicalize
 from .stats import ks_distance, martingale_curve, phi_quadrature, replica_statistic
@@ -169,7 +170,7 @@ class ExperimentSpec:
     snapshot_times: tuple
     replicas: int
     seed: int = DEFAULT_SEED
-    threads: int = 1
+    threads: int = 1  # worker count; the runners see the run's WorkerPool here
     out: Optional[str] = None  # output directory; None writes no files
     extras: dict = field(default_factory=dict)
 
@@ -716,7 +717,8 @@ def run_experiment(spec: ExperimentSpec, do_assert: bool = False, out_dir: str =
 
     motion, law, x0 = spec.build()
     start = _time.monotonic()
-    rows, checks = _RUNNERS[spec.kind](spec, motion, law, x0)
+    with WorkerPool(spec.threads) as pool:
+        rows, checks = _RUNNERS[spec.kind](replace(spec, threads=pool), motion, law, x0)
     wall = _time.monotonic() - start
     csv_text = rows_to_csv(rows)
     meta = {

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, DiagnosticError
 from .motions import MotionModel
 from .parallel import replica_rng
 from .stats import EstimateWithError
+from .testsets import FiniteSet, Interval
 
 
 def _terminal_values(motion, x0, t, n, rng):
@@ -38,8 +39,11 @@ def _terminal_values(motion, x0, t, n, rng):
 def _evaluate(motion, f, values, where):
     """f at the states encoded by values where the mask holds, 0 elsewhere
     (f vanishes on absorbed states, and a product only needs f != 0). A test
-    set is evaluated on the codes by its array membership; any other f is
-    called on each decoded state."""
+    set is evaluated on the codes by its array membership: over the whole
+    array when that membership is pure array arithmetic, on the masked codes
+    when it decodes them; any other f is called on each masked decoded state."""
+    if isinstance(f, FiniteSet) or (isinstance(f, Interval) and motion.codes_are_values):
+        return (f.contains_many(values, motion) & where).astype(float)
     out = np.zeros(len(values))
     if hasattr(f, "contains_many"):
         out[where] = f.contains_many(values[where], motion)

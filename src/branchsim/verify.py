@@ -21,6 +21,7 @@ from .engine import SimulationConfig, run_replicas
 from .errors import ConfigurationError
 from .fixedpoint import pgf_extinction, sigma_estimate, wilson_se
 from .motions import ErgodicCTMC, GaltonWatson, KilledDriftBM, KilledOU, TransientOU
+from .parallel import WorkerPool
 from .stats import ks_distance, martingale_curve, min_h_statistic, phi_quadrature
 from .experiments import DEFAULT_TEST_SETS, count_moments, qsd_cdf, spine_moments
 
@@ -365,8 +366,9 @@ def run_battery(level="quick", threads=1, emit=print):
         raise ConfigurationError(f"level must be 'quick' or 'full', got {level!r}")
     scale = 1.0 if level == "full" else 0.2
     all_passed = True
-    for label, fn in CRITERIA:
-        for result in fn(scale=scale, threads=threads):
-            emit(result.line())
-            all_passed = all_passed and result.passed
+    with WorkerPool(threads) as pool:
+        for label, fn in CRITERIA:
+            for result in fn(scale=scale, threads=pool):
+                emit(result.line())
+                all_passed = all_passed and result.passed
     return 0 if all_passed else 1

@@ -252,3 +252,22 @@ def test_benchmark_workload_specs_use_known_keys(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         for quick in (False, True):
             parse_spec(workload.spec(1, 0, quick))
+
+
+@pytest.mark.parametrize(
+    "env, argv, problem",
+    [
+        ("abc", [], "BRANCHSIM_THREADS must be an integer >= 1, got 'abc'"),
+        ("0", [], "BRANCHSIM_THREADS must be an integer >= 1, got '0'"),
+        (None, ["--threads", "0"], "--threads must be >= 1, got 0"),
+    ],
+    ids=["env-abc", "env-0", "flag-0"],
+)
+def test_cli_verify_bad_thread_count_exits_2(monkeypatch, capsys, env, argv, problem):
+    if env is None:
+        monkeypatch.delenv("BRANCHSIM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BRANCHSIM_THREADS", env)
+    assert main(["verify"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and problem in err

@@ -108,8 +108,10 @@ def test_many_to_two_warns_on_heavy_tails():
     m = KilledOU(1.0)
     law = binary_law(0.2, 1.0)  # growth 0.6 < 2
     B = Interval(0.0, math.inf)
-    with pytest.warns(RuntimeWarning, match="heavy-tailed"):
-        many_to_two(m, law, 0.5, [(B, B)], 4.0, n_paths=2000, seed=1)
+    with pytest.warns(RuntimeWarning, match=r"heavy-tailed \(CV") as caught:
+        [est] = many_to_two(m, law, 1.0, [(B, B)], 3.0, n_paths=2000, seed=1)
+    assert est.value > 0
+    assert not any("no two-spine path contributed" in str(w.message) for w in caught)
 
 
 def test_many_to_two_warns_when_no_path_contributes():

@@ -20,6 +20,7 @@ from branchsim import (
     many_to_one,
     many_to_two,
 )
+from branchsim.spine import _evaluate
 
 
 def test_interval_membership_is_open():
@@ -120,3 +121,22 @@ def test_array_membership_drives_the_spine_estimators_bit_identically():
                for f in (B, per_state)]
         assert one[0] == one[1] and one[0].value > 0
         assert two[0] == two[1] and two[0].value > 0
+
+
+@pytest.mark.parametrize(
+    "motion, values, B",
+    [
+        (KilledOU(1.0), np.array([0.7, np.nan, 1.5, 3.0, 0.9, 1.1]), Interval(0.5, 2.0)),
+        (GaltonWatson(((-1, 0.6), (1, 0.4))), np.array([1.0, 3.0, np.nan, 2.0, 3.0, 1.0]),
+         FiniteSet((1, 3))),
+    ],
+    ids=["interval", "finite-set"],
+)
+def test_whole_array_membership_equals_the_masked_evaluation(motion, values, B):
+    # members where the mask is off must still read 0
+    where = np.array([True, False, False, True, True, False])
+    expected = np.zeros(len(values))
+    expected[where] = [float(B.contains(s)) for s in motion.decode(values[where])]
+    got = _evaluate(motion, B, values, where)
+    assert got.dtype == np.float64 and np.array_equal(got, expected)
+    assert np.array_equal(_evaluate(motion, Predicate(B.contains), values, where), expected)
